@@ -129,6 +129,26 @@ class TestIndex:
             loads_index("# blockdec-oracle-index v1 mode=quiver\n")
 
 
+class TestDifferential:
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    def test_decomposer_matches_oracle_up_to_five_nodes(self, data, mode):
+        """Every diagram the oracle indexes on at most five nodes, connected or
+        not; five blocks suffice, since a block covers at least two of the ten
+        slots five nodes offer. Index keys are canonical, so the decomposer's
+        plans and closed_plans share coordinates."""
+        index = build_index(5, mode, data, max_nodes=5)
+        disconnected = 0
+        for dkey in sorted(index.entries):
+            diagram = from_canonical_key(dkey)
+            disconnected += not diagram.is_connected()
+            found = {
+                plan_key(data, p)
+                for p in enumerate_decompositions(diagram, data).plans
+            }
+            assert found == index.closed_plans(diagram, data), dkey
+        assert disconnected > 0
+
+
 class TestSweep:
     def test_quiver_sweep_three_nodes(self, data):
         # Engine truth: four connected quiver diagrams on <=3 nodes have two
