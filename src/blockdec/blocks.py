@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable
 
@@ -91,7 +91,13 @@ class Piece:
 
 @dataclass(frozen=True)
 class BlockTemplate:
-    """A block: labelled coloured nodes, weighted edges, and its piece."""
+    """A block: labelled coloured nodes, weighted edges, and its piece.
+
+    ``index_edges`` and ``placement_orders`` are integer tables compiled once
+    by :func:`parse_block_data`: the edges on label positions, and for each
+    start position the steps of a breadth-first placement from it.  A step is
+    a position and the index edges joining it to the positions before it.
+    """
 
     tag: str
     labels: tuple[str, ...]
@@ -99,6 +105,8 @@ class BlockTemplate:
     edges: tuple[tuple[str, str, int], ...]
     piece_id: str
     automorphisms: tuple[tuple[int, ...], ...]
+    index_edges: tuple[tuple[int, int, int], ...] = ()
+    placement_orders: tuple[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], ...] = ()
 
     @property
     def size(self) -> int:
@@ -177,6 +185,35 @@ def _compute_automorphisms(
         if {(mapping[f], mapping[t], w) for f, t, w in edges} == edge_set:
             found.append(p)
     return tuple(found)
+
+
+def _compile(template: BlockTemplate) -> BlockTemplate:
+    """The template with its integer tables filled in."""
+    index = {label: i for i, label in enumerate(template.labels)}
+    edges = tuple((index[f], index[t], w) for f, t, w in template.edges)
+    adjacency: list[list[int]] = [[] for _ in range(template.size)]
+    for f, t, _ in edges:
+        adjacency[f].append(t)
+        adjacency[t].append(f)
+    orders = []
+    for start in range(template.size):
+        order, seen = [start], {start}
+        for pos in order:  # grows while it is walked: a breadth-first queue
+            for nxt in sorted(adjacency[pos]):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+        # Block data is not required to be connected; stay total.
+        order.extend(p for p in range(template.size) if p not in seen)
+        steps, placed = [], set()
+        for pos in order:
+            placed.add(pos)
+            joins = tuple(
+                (f, t, w) for f, t, w in edges if pos in (f, t) and {f, t} <= placed
+            )
+            steps.append((pos, joins))
+        orders.append(tuple(steps))
+    return replace(template, index_edges=edges, placement_orders=tuple(orders))
 
 
 def _parse_lines(text: str) -> tuple[list[dict], list[dict]]:
@@ -406,7 +443,7 @@ def parse_block_data(text: str) -> BlockData:
             automorphisms=_compute_automorphisms(labels, colors, edges),
         )
         _validate_template(template, pieces[rb["piece"]])
-        templates[template.tag] = template
+        templates[template.tag] = _compile(template)
 
     return BlockData(templates=templates, pieces=pieces)
 

@@ -12,7 +12,8 @@ Exit codes: 0 success; 1 negative result (no decomposition, invalid plan,
 failing catalog entry); 2 input error; 3 data or internal error (including
 hitting the enumeration limit).
 
-All randomness-free: output bytes depend only on inputs, never on --threads.
+All randomness-free: output bytes depend only on inputs, never on --threads
+(the search is serial).
 Timing is written to stderr so stdout stays byte-stable.
 """
 
@@ -25,7 +26,7 @@ import sys
 import time
 
 from .blocks import BlockDataError, _data_text, load_block_data
-from .catalog import CatalogError, load_catalog, verify_entry
+from .catalog import CatalogError, catalog_entry, load_catalog, match_catalog, verify_entry
 from .decompose import enumerate_decompositions
 from .diagram import (
     MODES,
@@ -146,16 +147,16 @@ def _surface_input(args) -> tuple[str, Diagram]:
         raise _CliError(EXIT_INPUT, "give an input file or --entry, not both")
     if args.entry is not None:
         entries = _load_catalog_entries()
-        for entry in entries:
-            if entry.entry_id == args.entry:
-                if args.mode and args.mode != entry.mode:
-                    raise _CliError(
-                        EXIT_INPUT,
-                        f"entry {args.entry} is {entry.mode}-mode; drop --mode",
-                    )
-                return serialize_diagram(entry.diagram), entry.diagram
-        known = ", ".join(e.entry_id for e in entries)
-        raise _CliError(EXIT_INPUT, f"no catalog entry {args.entry!r} (known: {known})")
+        try:
+            entry = catalog_entry(args.entry, entries)
+        except CatalogError as exc:
+            raise _CliError(EXIT_INPUT, str(exc)) from exc
+        if args.mode and args.mode != entry.mode:
+            raise _CliError(
+                EXIT_INPUT,
+                f"entry {args.entry} is {entry.mode}-mode; drop --mode",
+            )
+        return serialize_diagram(entry.diagram), entry.diagram
     text = _read_input(args.input)
     return text, _parse_diagram_arg(text, args.mode)
 
@@ -293,11 +294,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for rk in sorted(classes):
         diagram = from_canonical_key(rk)
-        match = None
-        for entry in entries:
-            if entry.mode == mode and reversal_class_key(entry.diagram) == rk:
-                match = entry.entry_id
-                break
+        match = match_catalog(diagram, entries)
         rows.append(
             {
                 "key": rk,
@@ -305,7 +302,7 @@ def _cmd_sweep(args) -> int:
                 "diagrams": classes[rk],
                 "nodes": diagram.node_count,
                 "edges": len(diagram.edges),
-                "catalog": match,
+                "catalog": match.entry_id if match else None,
             }
         )
     rows.sort(key=lambda r: (r["nodes"], r["edges"], r["key"]))
@@ -327,6 +324,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockdec",
@@ -338,13 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         if limit:
             p.add_argument(
-                "--limit", type=int, default=10000,
+                "--limit", type=_positive_int, default=10000,
                 help="abort if more decompositions than this exist (default 10000)",
             )
         if threads:
             p.add_argument(
-                "--threads", type=int, default=1,
-                help="worker threads; never changes the output bytes",
+                "--threads", type=_positive_int, default=1,
+                help="accepted for compatibility: the search is serial, and the "
+                "value changes neither the output nor the work",
             )
 
     p = sub.add_parser("decompose", help="enumerate block decompositions")

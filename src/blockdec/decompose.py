@@ -3,16 +3,18 @@
 A decomposition is a plan (multiset of block instances on the diagram's nodes)
 that glues exactly to the target.  The search is a backtracking enumeration:
 
-* The state of a partial plan is its per-node slot usage and its per-pair
-  signed (unit, heavy) nets, compared against the target's requirements.
+* The state of a partial plan is one :class:`~blockdec.gluing.GlueState`
+  (per-node slot usage and per-pair signed (unit, heavy) nets), compared
+  against the target's requirements.  Descending into a placement pushes it
+  onto the state; coming back pops it.
 * A pair *freezes* as soon as either endpoint can accept no further block:
   no future instance can contribute an arrow there, so a frozen pair whose
   net does not realise the target edge kills the branch.
 * Branching happens at a single *pivot* node per state -- the lowest open node
   touching an unsettled pair, else the lowest uncovered node.  Every valid
   completion must place a block on the pivot, so branching over all placements
-  there is exhaustive; a visited set on partial-plan keys removes the
-  reorderings of one multiset.
+  there is exhaustive; a visited set of partial plans, each a sorted tuple of
+  interned canonical instances, removes the reorderings of one multiset.
 * A state with every node covered and every pair realised is emitted -- and
   never extended: any strict superset would need two extra slots per touched
   node, which coverage has already spent.
@@ -23,12 +25,11 @@ automorphisms, sorted by their plan key.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .blocks import BLACK, WHITE, BlockData, BlockTemplate, load_block_data
 from .diagram import Diagram, QUIVER, S_DIAGRAM
-from .gluing import BlockInstance, Plan, canonical_instance, instance_edges, plan_key
+from .gluing import BlockInstance, GlueState, Plan, canonical_instance, plan_key
 
 
 @dataclass(frozen=True)
@@ -60,49 +61,18 @@ def _target_reps(diagram: Diagram) -> dict[tuple[int, int], tuple[tuple[int, int
 
 class _Search:
     def __init__(self, diagram: Diagram, data: BlockData, limit: int):
-        self.diagram = diagram
         self.data = data
         self.limit = limit
         self.mode = diagram.mode
         self.n = diagram.node_count
         self.targets = _target_reps(diagram)
         self.steps = _STEPS[self.mode]
-        self.tags = data.tags_for_mode(self.mode)
-        self.templates: dict[str, BlockTemplate] = {
-            tag: data.template(tag) for tag in self.tags
-        }
-        self.visited: set[str] = set()
-        self.found: dict[str, Plan] = {}
+        self.templates = [data.template(tag) for tag in data.tags_for_mode(self.mode)]
+        self.state = GlueState(data, self.n)
+        self.interned: dict[BlockInstance, BlockInstance] = {}
+        self.visited: set[tuple[BlockInstance, ...]] = set()
+        self.found: dict[tuple[BlockInstance, ...], Plan] = {}
         self.truncated = False
-
-    # -- state ----------------------------------------------------------------
-
-    def _slots(self, plan: tuple[BlockInstance, ...]) -> list[list[str]]:
-        slots: list[list[str]] = [[] for _ in range(self.n)]
-        for inst in plan:
-            template = self.templates[inst.tag]
-            for color, node in zip(template.colors, inst.nodes):
-                slots[node].append(color)
-        return slots
-
-    def _nets(
-        self, plan: tuple[BlockInstance, ...]
-    ) -> dict[tuple[int, int], tuple[int, int]]:
-        nets: dict[tuple[int, int], list[int]] = {}
-        for inst in plan:
-            for a, b, w in instance_edges(self.data, inst):
-                key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-                net = nets.setdefault(key, [0, 0])
-                if w == 1:
-                    net[0] += sign
-                else:
-                    net[1] += sign * w
-        return {k: (u, d) for k, (u, d) in nets.items()}
-
-    @staticmethod
-    def _accepts(slot_colors: list[str], color: str) -> bool:
-        """May a node with these used slots take one more slot of ``color``?"""
-        return not slot_colors or (slot_colors == [WHITE] and color == WHITE)
 
     def _pair_ok(
         self,
@@ -122,57 +92,32 @@ class _Search:
 
     # -- extension generation ---------------------------------------------------
 
-    def _assignment_order(self, template: BlockTemplate, start: int) -> list[int]:
-        """Label positions in breadth-first template-edge order from ``start``."""
-        index = {label: i for i, label in enumerate(template.labels)}
-        adjacency: dict[int, list[int]] = {i: [] for i in range(template.size)}
-        for f, t, _ in template.edges:
-            adjacency[index[f]].append(index[t])
-            adjacency[index[t]].append(index[f])
-        order, queue, seen = [], [start], {start}
-        while queue:
-            pos = queue.pop(0)
-            order.append(pos)
-            for nxt in sorted(adjacency[pos]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        for pos in range(template.size):  # disconnected templates cannot occur,
-            if pos not in seen:  # but stay total just in case
-                order.append(pos)
-        return order
-
-    def _extensions(
-        self,
-        slots: list[list[str]],
-        nets: dict[tuple[int, int], tuple[int, int]],
-        pivot: int,
-    ) -> list[BlockInstance]:
+    def _extensions(self, pivot: int) -> list[BlockInstance]:
         """All canonical single-block placements covering the pivot node."""
+        state = self.state
         out: set[BlockInstance] = set()
-        for tag in self.tags:
-            template = self.templates[tag]
-            index = {label: i for i, label in enumerate(template.labels)}
-            edges = [(index[f], index[t], w) for f, t, w in template.edges]
-            for start in range(template.size):
-                if not self._accepts(slots[pivot], template.colors[start]):
+        for template in self.templates:
+            for start, steps in enumerate(template.placement_orders):
+                if not state.accepts(pivot, template.colors[start]):
                     continue
-                order = self._assignment_order(template, start)
                 placement: dict[int, int] = {start: pivot}
 
                 def assign(depth: int) -> None:
-                    if depth == len(order):
+                    if depth == len(steps):
                         nodes = tuple(placement[i] for i in range(template.size))
-                        out.add(canonical_instance(self.data, BlockInstance(tag, nodes)))
+                        inst = canonical_instance(
+                            self.data, BlockInstance(template.tag, nodes)
+                        )
+                        out.add(self.interned.setdefault(inst, inst))
                         return
-                    pos = order[depth]
+                    pos, edges = steps[depth]
                     color = template.colors[pos]
                     used = set(placement.values())
                     for node in range(self.n):
-                        if node in used or not self._accepts(slots[node], color):
+                        if node in used or not state.accepts(node, color):
                             continue
                         placement[pos] = node
-                        if self._placement_ok(template, edges, placement, slots):
+                        if self._placement_ok(template, placement, edges):
                             assign(depth + 1)
                         del placement[pos]
 
@@ -182,19 +127,18 @@ class _Search:
     def _placement_ok(
         self,
         template: BlockTemplate,
-        edges: list[tuple[int, int, int]],
         placement: dict[int, int],
-        slots: list[list[str]],
+        edges: tuple[tuple[int, int, int], ...],
     ) -> bool:
-        """Check pairs between already-placed labels against the targets.
+        """Check the pairs of ``edges``, whose labels were just placed, against
+        the targets; the pairs of earlier steps passed already and cannot
+        change within one extension.
 
         A pair freezes after this block if an endpoint's slots fill up; frozen
         pairs must land exactly on a target representation.
         """
-        nets = self.current_nets
+        covers, nets, colors = self.state.covers, self.state.nets, template.colors
         for fpos, tpos, w in edges:
-            if fpos not in placement or tpos not in placement:
-                continue
             a, b = placement[fpos], placement[tpos]
             key, sign = ((a, b), 1) if a < b else ((b, a), -1)
             unit, heavy = nets.get(key, (0, 0))
@@ -202,9 +146,9 @@ class _Search:
                 unit += sign
             else:
                 heavy += sign * w
-            frozen = any(
-                len(slots[node]) + 1 >= 2 or template.colors[pos] == BLACK
-                for node, pos in ((a, fpos), (b, tpos))
+            frozen = (
+                covers[a] >= 1 or covers[b] >= 1
+                or colors[fpos] == BLACK or colors[tpos] == BLACK
             )
             if not self._pair_ok((unit, heavy), key, frozen):
                 return False
@@ -212,94 +156,35 @@ class _Search:
 
     # -- search -----------------------------------------------------------------
 
-    def run(self, seeds: tuple[BlockInstance, ...] | None = None) -> None:
-        if seeds is None:
-            self._dfs(())
-        else:
-            for seed in seeds:
-                self._dfs((seed,))
-
-    def root_extensions(self) -> list[BlockInstance]:
-        slots = self._slots(())
-        pivot = self._pivot(slots, {})
-        if pivot is None:
-            return []
-        self.current_nets = {}
-        return self._extensions(slots, {}, pivot)
-
-    def _pivot(
-        self,
-        slots: list[list[str]],
-        nets: dict[tuple[int, int], tuple[int, int]],
-    ) -> int | None:
-        """The node to branch on, or None when the state is complete/dead."""
-
-        def open_(node: int) -> bool:
-            return slots[node] == [WHITE]
-
-        def uncovered(node: int) -> bool:
-            return not slots[node]
-
-        candidates = []
-        pairs = set(self.targets) | set(nets)
-        for pair in pairs:
-            net = nets.get(pair, (0, 0))
-            if net in self.targets.get(pair, ((0, 0),)):
-                continue
-            for node in pair:
-                if open_(node) or uncovered(node):
-                    candidates.append(node)
-        if candidates:
-            return min(candidates)
-        for node in range(self.n):
-            if uncovered(node):
-                return node
-        return None
-
-    def _complete(
-        self,
-        slots: list[list[str]],
-        nets: dict[tuple[int, int], tuple[int, int]],
-    ) -> bool:
-        if any(not s for s in slots):
-            return False
-        pairs = set(self.targets) | set(nets)
-        return all(
-            nets.get(pair, (0, 0)) in self.targets.get(pair, ((0, 0),))
-            for pair in pairs
-        )
-
     def _dfs(self, plan: tuple[BlockInstance, ...]) -> None:
-        if self.truncated:
+        """Search below the plan on ``self.state``: its instances, sorted."""
+        if self.truncated or plan in self.visited:
             return
-        key = plan_key(self.data, Plan(self.mode, plan))
-        if key in self.visited:
+        self.visited.add(plan)
+        state = self.state
+        unsettled = [
+            pair
+            for pair in set(self.targets) | set(state.nets)
+            if state.nets.get(pair, (0, 0)) not in self.targets.get(pair, ((0, 0),))
+        ]
+
+        # Dead end: an unsettled pair with a closed endpoint is frozen.
+        if any(not state.accepts(node, WHITE) for pair in unsettled for node in pair):
             return
-        self.visited.add(key)
 
-        slots = self._slots(plan)
-        nets = self._nets(plan)
-
-        # Dead end: a frozen pair that misses its target.
-        for pair in set(self.targets) | set(nets):
-            net = nets.get(pair, (0, 0))
-            if net in self.targets.get(pair, ((0, 0),)):
-                continue
-            if any(not self._accepts(slots[n], WHITE) for n in pair):
-                return
-
-        if plan and self._complete(slots, nets):
-            self.found[key] = Plan(self.mode, tuple(sorted(plan)))
+        if plan and not unsettled and all(state.covers):
+            self.found[plan] = Plan(self.mode, plan)
             if len(self.found) > self.limit:
                 self.truncated = True
             return
 
-        pivot = self._pivot(slots, nets)
-        if pivot is None:
-            return
-        self.current_nets = nets
-        for inst in self._extensions(slots, nets, pivot):
-            self._dfs(plan + (inst,))
+        # The pivot: the lowest endpoint of an unsettled pair (every one is
+        # open or uncovered by now), else the lowest uncovered node.
+        pivot = min(unsettled)[0] if unsettled else state.covers.index(0)
+        for inst in self._extensions(pivot):
+            state.push(inst)
+            self._dfs(tuple(sorted(plan + (inst,))))
+            state.pop()
 
 
 def enumerate_decompositions(
@@ -311,42 +196,23 @@ def enumerate_decompositions(
 ) -> DecomposeResult:
     """All inequivalent decompositions of ``diagram``, sorted by plan key.
 
-    ``threads`` splits the search over first placements; results are merged,
-    deduplicated, and sorted, so the output is identical for any thread count.
-    When more than ``limit`` plans exist the result is truncated and flagged.
+    The search is serial; ``threads`` is accepted for compatibility and
+    changes neither the output nor the work.  When more than ``limit`` plans
+    exist the result is truncated and flagged.
     """
     if data is None:
         data = load_block_data()
     if diagram.node_count == 0:
         return DecomposeResult((), False)
 
-    if threads <= 1:
-        search = _Search(diagram, data, limit)
-        search.run()
-        merged = search.found
-        truncated = search.truncated
-    else:
-        seeds = _Search(diagram, data, limit).root_extensions()
-        chunks: list[tuple[BlockInstance, ...]] = [() for _ in range(threads)]
-        for i, seed in enumerate(seeds):
-            chunks[i % threads] += (seed,)
-        searches = [_Search(diagram, data, limit) for _ in chunks]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(s.run, chunk) for s, chunk in zip(searches, chunks) if chunk
-            ]
-            for f in futures:
-                f.result()
-        merged = {}
-        for s in searches:
-            merged.update(s.found)
-        truncated = any(s.truncated for s in searches) or len(merged) > limit
-
-    keys = sorted(merged)
-    if len(keys) > limit:
-        keys = keys[:limit]
+    search = _Search(diagram, data, limit)
+    search._dfs(())
+    plans = sorted(search.found.values(), key=lambda p: plan_key(data, p))
+    truncated = search.truncated
+    if len(plans) > limit:
+        plans = plans[:limit]
         truncated = True
-    return DecomposeResult(tuple(merged[k] for k in keys), truncated)
+    return DecomposeResult(tuple(plans), truncated)
 
 
 def is_decomposable(

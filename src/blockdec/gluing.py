@@ -19,15 +19,20 @@ Gluing follows four rules:
 
 Weight-2 edges only exist in s-mode; in quiver mode only the six weight-1
 (elementary) blocks may be used, so rule 3 is vacuous there.
+
+:class:`GlueState` is the one record of rules 1 to 3: per-node slot use and
+per-pair signed nets, kept up to date as instances are pushed and popped.
+:func:`glue` and :func:`validate_plan` push a whole plan onto a fresh state;
+the decomposer and the oracle walk their search trees on one state each,
+pushing an instance on the way down and popping it on the way back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .blocks import BLACK, WHITE, BlockData
-from .diagram import Diagram, make_diagram, MODES, QUIVER
+from .diagram import Diagram, make_diagram, MODES
 
 
 class GluingError(ValueError):
@@ -72,8 +77,12 @@ class Plan:
 
 @dataclass(frozen=True)
 class Violation:
-    rule: int
+    error: type[GluingError]
     message: str
+
+    @property
+    def rule(self) -> int:
+        return self.error.rule
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,8 @@ class GlueResult:
 
 def instance_edges(data: BlockData, inst: BlockInstance) -> list[tuple[int, int, int]]:
     """The weighted arrows an instance contributes, on diagram nodes."""
-    template = data.template(inst.tag)
-    index = {label: i for i, label in enumerate(template.labels)}
-    return [(inst.nodes[index[f]], inst.nodes[index[t]], w) for f, t, w in template.edges]
+    nodes = inst.nodes
+    return [(nodes[f], nodes[t], w) for f, t, w in data.template(inst.tag).index_edges]
 
 
 def canonical_instance(data: BlockData, inst: BlockInstance) -> BlockInstance:
@@ -124,67 +132,113 @@ def parse_plan_key(key: str) -> Plan:
 def _check_instances(data: BlockData, plan: Plan) -> list[Violation]:
     violations = []
     if plan.mode not in MODES:
-        violations.append(Violation(0, f"unknown mode {plan.mode!r}"))
+        violations.append(Violation(BadInstance, f"unknown mode {plan.mode!r}"))
         return violations
     allowed = set(data.tags_for_mode(plan.mode))
     for inst in plan.instances:
         if inst.tag not in data.templates:
-            violations.append(Violation(0, f"unknown block tag {inst.tag!r}"))
+            violations.append(Violation(BadInstance, f"unknown block tag {inst.tag!r}"))
             continue
         if inst.tag not in allowed:
             violations.append(
-                Violation(0, f"block {inst.tag} is not usable in {plan.mode} mode")
+                Violation(BadInstance, f"block {inst.tag} is not usable in {plan.mode} mode")
             )
         template = data.template(inst.tag)
         if len(inst.nodes) != template.size:
             violations.append(
                 Violation(
-                    0,
+                    BadInstance,
                     f"block {inst.tag} takes {template.size} nodes, got {len(inst.nodes)}",
                 )
             )
             continue
         if any(n < 0 for n in inst.nodes):
-            violations.append(Violation(0, f"negative node id in {inst.tag} instance"))
+            violations.append(Violation(BadInstance, f"negative node id in {inst.tag} instance"))
         if len(set(inst.nodes)) != len(inst.nodes):
             violations.append(
-                Violation(0, f"block {inst.tag} placed on repeated node {inst.nodes}")
+                Violation(BadInstance, f"block {inst.tag} placed on repeated node {inst.nodes}")
             )
     return violations
 
 
-def _check_occupancy(data: BlockData, plan: Plan) -> tuple[dict[int, list[str]], list[Violation]]:
-    """Per-node slot colours used, plus rule-1 violations."""
-    slots: dict[int, list[str]] = {}
-    violations = []
-    for inst in plan.instances:
-        template = data.template(inst.tag)
-        for label, node in zip(template.labels, inst.nodes):
-            slots.setdefault(node, []).append(template.color(label))
-    for node, used in sorted(slots.items()):
-        if len(used) > 2:
-            violations.append(Violation(1, f"node {node} is covered by {len(used)} blocks"))
-        elif len(used) == 2 and BLACK in used:
-            violations.append(Violation(1, f"node {node} is shared through a black slot"))
-    if slots:
-        missing = sorted(set(range(max(slots) + 1)) - set(slots))
-        if missing:
-            violations.append(Violation(1, f"uncovered node ids: {missing}"))
-    return slots, violations
+class GlueState:
+    """Rule-1 to rule-3 bookkeeping of a plan built one instance at a time.
 
+    ``covers[v]`` counts the template slots on node ``v`` and ``blacks[v]``
+    the black ones among them.  ``nets`` maps every low-high node pair whose
+    signed ``(unit, heavy)`` net is nonzero to that net; rule 4 reads it
+    through :func:`_resolve_pair`.  :meth:`pop` undoes the last :meth:`push`,
+    so the state depends only on the multiset of instances pushed.
+    """
 
-def _accumulate(data: BlockData, plan: Plan) -> dict[tuple[int, int], list[int]]:
-    """Signed (unit, heavy) nets per unordered node pair, keyed low-to-high."""
-    nets: dict[tuple[int, int], list[int]] = {}
-    for inst in plan.instances:
-        for a, b, w in instance_edges(data, inst):
-            key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-            net = nets.setdefault(key, [0, 0])
+    def __init__(self, data: BlockData, node_count: int):
+        self.data = data
+        self.covers = [0] * node_count
+        self.blacks = [0] * node_count
+        self.nets: dict[tuple[int, int], tuple[int, int]] = {}
+        self.stack: list[BlockInstance] = []
+
+    @classmethod
+    def of(cls, data: BlockData, plan: Plan) -> GlueState:
+        """The state of a whole plan, on nodes ``0..max``."""
+        nodes = [n for inst in plan.instances for n in inst.nodes]
+        state = cls(data, max(nodes, default=-1) + 1)
+        for inst in plan.instances:
+            state.push(inst)
+        return state
+
+    def push(self, inst: BlockInstance) -> None:
+        self._apply(inst, 1)
+        self.stack.append(inst)
+
+    def pop(self) -> BlockInstance:
+        inst = self.stack.pop()
+        self._apply(inst, -1)
+        return inst
+
+    def _apply(self, inst: BlockInstance, sign: int) -> None:
+        for node, color in zip(inst.nodes, self.data.template(inst.tag).colors):
+            self.covers[node] += sign
+            if color == BLACK:
+                self.blacks[node] += sign
+        nets = self.nets
+        for a, b, w in instance_edges(self.data, inst):
+            key, s = ((a, b), sign) if a < b else ((b, a), -sign)
+            unit, heavy = nets.get(key, (0, 0))
             if w == 1:
-                net[0] += sign
+                unit += s
             else:
-                net[1] += sign * w
-    return nets
+                heavy += s * w
+            if unit or heavy:
+                nets[key] = (unit, heavy)
+            else:
+                del nets[key]
+
+    def accepts(self, node: int, color: str) -> bool:
+        """May ``node`` take one more slot of ``color``?"""
+        covers = self.covers[node]
+        return covers == 0 or (covers == 1 and not self.blacks[node] and color == WHITE)
+
+    def is_open(self, node: int) -> bool:
+        """Covered once, through a white slot."""
+        return self.covers[node] == 1 and not self.blacks[node]
+
+    def occupancy_violations(self) -> list[Violation]:
+        """Rule-1 violations: overlaps by node, then uncovered nodes."""
+        violations = []
+        for node, covers in enumerate(self.covers):
+            if covers > 2:
+                violations.append(
+                    Violation(OverlapViolation, f"node {node} is covered by {covers} blocks")
+                )
+            elif covers == 2 and self.blacks[node]:
+                violations.append(
+                    Violation(OverlapViolation, f"node {node} is shared through a black slot")
+                )
+        missing = [node for node, covers in enumerate(self.covers) if not covers]
+        if missing:
+            violations.append(Violation(CoverageViolation, f"uncovered node ids: {missing}"))
+        return violations
 
 
 _RESIDUALS = {
@@ -218,13 +272,13 @@ def validate_plan(data: BlockData, plan: Plan) -> list[Violation]:
     violations = _check_instances(data, plan)
     if violations:
         return violations
-    slots, occ_violations = _check_occupancy(data, plan)
-    violations.extend(occ_violations)
-    for (a, b), (unit, heavy) in sorted(_accumulate(data, plan).items()):
+    state = GlueState.of(data, plan)
+    violations.extend(state.occupancy_violations())
+    for (a, b), (unit, heavy) in sorted(state.nets.items()):
         try:
             _resolve_pair(unit, heavy)
         except GluingError as exc:
-            violations.append(Violation(exc.rule, f"pair ({a}, {b}): {exc}"))
+            violations.append(Violation(type(exc), f"pair ({a}, {b}): {exc}"))
     return violations
 
 
@@ -235,27 +289,23 @@ def glue(data: BlockData, plan: Plan) -> GlueResult:
     node's colour is white when one more block could still attach there.
     """
     for v in _check_instances(data, plan):
-        raise BadInstance(v.message)
+        raise v.error(v.message)
     if not plan.instances:
         raise CoverageViolation("empty plan covers no nodes")
-    slots, occ_violations = _check_occupancy(data, plan)
-    for v in occ_violations:
-        if "shared through a black" in v.message or "covered by" in v.message:
-            raise OverlapViolation(v.message)
-        raise CoverageViolation(v.message)
+    state = GlueState.of(data, plan)
+    for v in state.occupancy_violations():
+        raise v.error(v.message)
 
     edges = []
-    for (a, b), (unit, heavy) in sorted(_accumulate(data, plan).items()):
+    for (a, b), (unit, heavy) in sorted(state.nets.items()):
         direction, weight = _resolve_pair(unit, heavy)
         if direction > 0:
             edges.append((a, b, weight))
         elif direction < 0:
             edges.append((b, a, weight))
 
-    node_count = max(slots) + 1
-    colors = tuple(
-        WHITE if slots[n] == [WHITE] else BLACK for n in range(node_count)
-    )
+    node_count = len(state.covers)
+    colors = tuple(WHITE if state.is_open(n) else BLACK for n in range(node_count))
     return GlueResult(make_diagram(node_count, edges, mode=plan.mode), colors)
 
 

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from random import Random
 
-from .blocks import BLACK, WHITE, BlockData, load_block_data
+from .blocks import WHITE, BlockData, load_block_data
 from .diagram import (
     Diagram,
     automorphisms,
@@ -28,6 +28,7 @@ from .diagram import (
 )
 from .gluing import (
     BlockInstance,
+    GlueState,
     Plan,
     canonical_instance,
     glue,
@@ -53,19 +54,20 @@ def enumerate_plans(
     most ``max_nodes`` abstract nodes, each exactly once (by plan key).
 
     Nodes are numbered in first-use order.  Any occupancy-legal placement
-    glues, so enumeration only tracks slot usage: a white slot may land on an
-    open node or a fresh one, a black slot only on a fresh one.
+    glues, so enumeration only reads slot usage from its gluing state: a
+    white slot may land on an open node or a fresh one, a black slot only on
+    a fresh one.  Plans are sorted tuples of interned canonical instances, so
+    the visited set shares its instances.
     """
-    tags = data.tags_for_mode(mode)
-    templates = {tag: data.template(tag) for tag in tags}
-    visited: set[str] = set()
+    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+    state = GlueState(data, max_nodes)
+    interned: dict[BlockInstance, BlockInstance] = {}
+    visited: set[tuple[BlockInstance, ...]] = set()
 
-    def placements(slots: list[list[str]]):
-        """All single-instance extensions of the current slot state."""
-        n = len(slots)
-        open_nodes = [i for i, s in enumerate(slots) if s == [WHITE]]
-        for tag in tags:
-            template = templates[tag]
+    def placements(n: int):
+        """All single-instance extensions of a state on ``n`` used nodes."""
+        open_nodes = [i for i in range(n) if state.is_open(i)]
+        for template in templates:
             assignments: list[tuple[int, ...]] = []
 
             def assign(pos: int, chosen: tuple[int, ...], fresh: int) -> None:
@@ -85,31 +87,31 @@ def enumerate_plans(
 
             assign(0, (), 0)
             for nodes in assignments:
-                yield BlockInstance(tag, nodes)
+                yield BlockInstance(template.tag, nodes)
 
-    def slots_of(plan: tuple[BlockInstance, ...]) -> list[list[str]]:
-        used: list[list[str]] = []
-        for inst in plan:
-            template = templates[inst.tag]
-            for color, node in zip(template.colors, inst.nodes):
-                while node >= len(used):
-                    used.append([])
-                used[node].append(color)
-        return used
+    def canonical(inst: BlockInstance) -> BlockInstance:
+        canon = interned.get(inst)
+        if canon is None:
+            canon = canonical_instance(data, inst)
+            canon = interned[inst] = interned.setdefault(canon, canon)
+        return canon
 
-    def dfs(plan: tuple[BlockInstance, ...]):
-        key = plan_key(data, Plan(mode, plan))
-        if key in visited:
+    def dfs(plan: tuple[BlockInstance, ...], n: int):
+        if plan in visited:
             return
-        visited.add(key)
+        visited.add(plan)
         if plan:
-            yield Plan(mode, tuple(sorted(canonical_instance(data, i) for i in plan)))
+            yield Plan(mode, plan)
         if len(plan) == max_blocks:
             return
-        for inst in placements(slots_of(plan)):
-            yield from dfs(plan + (inst,))
+        for inst in placements(n):
+            state.push(inst)
+            yield from dfs(
+                tuple(sorted(plan + (canonical(inst),))), max(n, max(inst.nodes) + 1)
+            )
+            state.pop()
 
-    yield from dfs(())
+    yield from dfs((), 0)
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,8 @@ def random_plan(
     """
     tags = data.tags_for_mode(mode)
     count = rng.randint(1, max_blocks)
-    slots: list[list[str]] = []
+    state = GlueState(data, count * max(t.size for t in data.templates.values()))
+    n = 0  # nodes used so far, numbered in first-use order
     instances = []
     for _ in range(count):
         tag = rng.choice(tags)
@@ -276,15 +279,12 @@ def random_plan(
         for color in template.colors:
             options = []
             if color == WHITE:
-                options = [
-                    i for i, s in enumerate(slots) if s == [WHITE] and i not in chosen
-                ]
-            options.append(len(slots) + sum(1 for c in chosen if c >= len(slots)))
+                options = [i for i in range(n) if state.is_open(i) and i not in chosen]
+            options.append(n + sum(1 for c in chosen if c >= n))
             node = rng.choice(options)
             chosen.append(node)
-        while len(slots) < max(chosen) + 1:
-            slots.append([])
-        for color, node in zip(template.colors, chosen):
-            slots[node].append(color)
-        instances.append(BlockInstance(tag, tuple(chosen)))
+        inst = BlockInstance(tag, tuple(chosen))
+        state.push(inst)
+        n = max(n, max(chosen) + 1)
+        instances.append(inst)
     return Plan(mode, tuple(instances))

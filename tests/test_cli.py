@@ -87,6 +87,18 @@ def test_decompose_limit_truncation_is_internal_error(capsys, tmp_path):
     assert "--limit" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--threads", "0"), ("--threads", "-3"), ("--limit", "0"), ("--limit", "-1")],
+)
+def test_non_positive_counts_are_input_errors(capsys, triangle_file, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", triangle_file, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {value}" in err
+
+
 def test_decompose_mode_override(capsys, tmp_path):
     path = tmp_path / "edge.txt"
     path.write_text("nodes 2\nedge 1 0 1\n")

@@ -1,4 +1,7 @@
-"""Tests for plan gluing: rules 1-4, plan keys, and the text format."""
+"""Tests for plan gluing: rules 1-4, the gluing state, plan keys, and the
+text format."""
+
+from random import Random
 
 import pytest
 
@@ -8,6 +11,7 @@ from blockdec.gluing import (
     BadInstance,
     BlockInstance,
     CoverageViolation,
+    GlueState,
     MixedWeightClash,
     OverlapViolation,
     Plan,
@@ -20,6 +24,7 @@ from blockdec.gluing import (
     serialize_plan,
     validate_plan,
 )
+from blockdec.oracle import random_plan
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,36 @@ class TestRuleViolations:
 
     def test_validate_plan_empty_for_legal(self, data):
         assert validate_plan(data, qplan(("Spike", (0, 1)))) == []
+
+
+def random_plans(data, mode, count=200):
+    rng = Random(f"glue-state:{mode}")
+    return [random_plan(data, mode, rng) for _ in range(count)]
+
+
+def snapshot(state):
+    return state.covers, state.blacks, state.nets
+
+
+@pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+class TestGlueState:
+    def test_pop_undoes_push(self, data, mode):
+        for plan in random_plans(data, mode):
+            state = GlueState.of(data, plan)
+            fresh = GlueState(data, len(state.covers))
+            assert sum(state.covers) == sum(len(i.nodes) for i in plan.instances)
+            popped = [state.pop() for _ in plan.instances]
+            assert popped == list(reversed(plan.instances))
+            assert snapshot(state) == snapshot(fresh)
+            assert state.stack == []
+
+    def test_push_order_does_not_matter(self, data, mode):
+        for plan in random_plans(data, mode):
+            forward = GlueState.of(data, plan)
+            backward = GlueState.of(
+                data, Plan(plan.mode, tuple(reversed(plan.instances)))
+            )
+            assert snapshot(forward) == snapshot(backward)
 
 
 class TestResidualResolution:
