@@ -41,7 +41,7 @@ from .diagram import (
 )
 from .gluing import BadInstance, GluingError, glue, parse_plan, plan_key
 from .oracle import sweep_nonunique
-from .surface import assemble
+from .surface import DisconnectedComplex, assemble
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -88,6 +88,13 @@ def _load_catalog_entries():
         return load_catalog()
     except (OSError, CatalogError, DiagramError) as exc:
         raise _CliError(EXIT_INTERNAL, f"catalog data: {exc}") from exc
+
+
+def _catalog_entry(entry_id: str, entries):
+    try:
+        return catalog_entry(entry_id, entries)
+    except CatalogError as exc:
+        raise _CliError(EXIT_INPUT, str(exc)) from exc
 
 
 def _parse_diagram_arg(text: str, mode: str | None) -> Diagram:
@@ -146,11 +153,7 @@ def _surface_input(args) -> tuple[str, Diagram]:
     if (args.entry is None) == (args.input is None):
         raise _CliError(EXIT_INPUT, "give an input file or --entry, not both")
     if args.entry is not None:
-        entries = _load_catalog_entries()
-        try:
-            entry = catalog_entry(args.entry, entries)
-        except CatalogError as exc:
-            raise _CliError(EXIT_INPUT, str(exc)) from exc
+        entry = _catalog_entry(args.entry, _load_catalog_entries())
         if args.mode and args.mode != entry.mode:
             raise _CliError(
                 EXIT_INPUT,
@@ -183,7 +186,10 @@ def _cmd_surface(args) -> int:
         f"count {len(result.plans)}",
     ]
     for index, plan in picked:
-        inv = assemble(data, plan).invariants()
+        try:
+            inv = assemble(data, plan).invariants()
+        except DisconnectedComplex as exc:
+            raise _CliError(EXIT_INPUT, f"decomposition {index}: {exc}") from exc
         surfaces.append(
             {
                 "decomposition": index,
@@ -243,9 +249,7 @@ def _cmd_verify_catalog(args) -> int:
     data = _load_data()
     entries = _load_catalog_entries()
     if args.entry is not None:
-        entries = tuple(e for e in entries if e.entry_id == args.entry)
-        if not entries:
-            raise _CliError(EXIT_INPUT, f"no catalog entry {args.entry!r}")
+        entries = (_catalog_entry(args.entry, entries),)
 
     reports = [
         verify_entry(entry, data, limit=args.limit, threads=args.threads)
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_catalog)
 
     p = sub.add_parser("sweep", help="diagrams with several decompositions")
-    p.add_argument("--max-nodes", type=int, required=True, help="node bound")
+    p.add_argument("--max-nodes", type=_positive_int, required=True, help="node bound")
     p.add_argument("--mode", choices=sorted(MODES), help="mode (default quiver)")
     add_common(p, threads=False, limit=False)
     p.set_defaults(func=_cmd_sweep)

@@ -21,14 +21,36 @@ that glues exactly to the target.  The search is a backtracking enumeration:
 
 Plans are reported in canonical form, deduplicated modulo template
 automorphisms, sorted by their plan key.
+
+The search runs once per *part* of the target: each connected component that
+has edges is a part, and all isolated nodes together form one more part.  A
+decomposition of the whole is one decomposition of each part, so the result
+is the Cartesian product of the parts' plan lists.  This rests on a lemma:
+
+    In a plan that glues to a diagram, no block instance spans two connected
+    components that have edges, and no instance touches both an isolated
+    node and a node with edges.
+
+Why it should hold: an instance that crosses between parts puts an arrow on a
+pair without a target edge, so a second instance must cancel it there, and
+the two then fill both slots of both endpoints.  No proof is given here.
+``tests/test_decompose.py`` checks the lemma on every plan the oracle
+enumerates up to 4 blocks on 7 nodes in quiver mode and 4 blocks on 6 nodes
+in s-mode, and the oracle differential tests include disconnected diagrams.
+Parts are searched smallest first, so a diagram without a decomposition is
+usually rejected early.  The isolated-node part depends only on the mode and
+the number of isolated nodes, so its plans are memoised.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import chain, product
+from math import prod
 
 from .blocks import BLACK, WHITE, BlockData, BlockTemplate, load_block_data
-from .diagram import Diagram, QUIVER, S_DIAGRAM
+from .diagram import Diagram, QUIVER, S_DIAGRAM, make_diagram
 from .gluing import BlockInstance, GlueState, Plan, canonical_instance, plan_key
 
 
@@ -71,7 +93,7 @@ class _Search:
         self.state = GlueState(data, self.n)
         self.interned: dict[BlockInstance, BlockInstance] = {}
         self.visited: set[tuple[BlockInstance, ...]] = set()
-        self.found: dict[tuple[BlockInstance, ...], Plan] = {}
+        self.found: set[tuple[BlockInstance, ...]] = set()
         self.truncated = False
 
     def _pair_ok(
@@ -173,7 +195,7 @@ class _Search:
             return
 
         if plan and not unsettled and all(state.covers):
-            self.found[plan] = Plan(self.mode, plan)
+            self.found.add(plan)
             if len(self.found) > self.limit:
                 self.truncated = True
             return
@@ -187,6 +209,81 @@ class _Search:
             state.pop()
 
 
+def _parts(diagram: Diagram) -> list[tuple[int, ...]]:
+    """The node sets searched on their own, smallest first: each connected
+    component with edges, and all isolated nodes together."""
+    adjacent: dict[int, list[int]] = {}
+    for e in diagram.edges:
+        adjacent.setdefault(e.src, []).append(e.dst)
+        adjacent.setdefault(e.dst, []).append(e.src)
+    parts = []
+    seen: set[int] = set()
+    for start in sorted(adjacent):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, part = [start], []
+        while stack:
+            node = stack.pop()
+            part.append(node)
+            for other in adjacent[node]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        parts.append(tuple(sorted(part)))
+    isolated = tuple(v for v in range(diagram.node_count) if v not in adjacent)
+    if isolated:
+        parts.append(isolated)
+    return sorted(parts, key=lambda part: (len(part), part))
+
+
+# (id(data), mode, count) -> (data, plans on nodes 0..count-1).  Holding data
+# keeps it alive, so no other block data can take its id.
+_ISOLATED: dict[tuple[int, str, int], tuple[BlockData, list[tuple[BlockInstance, ...]]]] = {}
+
+
+def _whole_plans(
+    diagram: Diagram, data: BlockData, limit: int
+) -> tuple[list[tuple[BlockInstance, ...]], bool]:
+    """The plans of a diagram searched as one part, and whether the search was
+    truncated.  An edgeless diagram's untruncated plans are memoised."""
+    memo_key = (id(data), diagram.mode, diagram.node_count)
+    cached = None if diagram.edges else _ISOLATED.get(memo_key)
+    if cached is not None:
+        return cached[1], len(cached[1]) > limit
+    search = _Search(diagram, data, limit)
+    search._dfs(())
+    plans = list(search.found)
+    if not diagram.edges and not search.truncated:
+        _ISOLATED[memo_key] = (data, plans)
+    return plans, search.truncated
+
+
+def _part_plans(
+    diagram: Diagram, nodes: tuple[int, ...], data: BlockData, limit: int
+) -> tuple[list[tuple[BlockInstance, ...]], bool]:
+    """The plans of one part on the original node ids, and whether its search
+    was truncated.
+
+    A part smaller than the diagram is relabelled to ``0..k-1`` in increasing
+    node order and its plans are mapped back.  Both maps are increasing, so
+    they keep canonical instances canonical and sorted plans sorted.
+    """
+    if len(nodes) == diagram.node_count:
+        return _whole_plans(diagram, data, limit)
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = [
+        (index[e.src], index[e.dst], e.weight) for e in diagram.edges if e.src in index
+    ]
+    plans, truncated = _whole_plans(
+        make_diagram(len(nodes), edges, diagram.mode), data, limit
+    )
+    return [
+        tuple(BlockInstance(i.tag, tuple(nodes[v] for v in i.nodes)) for i in plan)
+        for plan in plans
+    ], truncated
+
+
 def enumerate_decompositions(
     diagram: Diagram,
     data: BlockData | None = None,
@@ -196,27 +293,44 @@ def enumerate_decompositions(
 ) -> DecomposeResult:
     """All inequivalent decompositions of ``diagram``, sorted by plan key.
 
-    The search is serial; ``threads`` is accepted for compatibility and
-    changes neither the output nor the work.  When more than ``limit`` plans
-    exist the result is truncated and flagged.
+    Each part of the diagram (a connected component with edges, or the set of
+    all isolated nodes) is searched on its own, smallest first, and the plans
+    of the whole are the Cartesian product of the parts' plans.  If a part
+    has no plan, neither has the diagram, and the result is empty and not
+    truncated.  The result is truncated and flagged when a part's search
+    stops at ``limit`` or the product has more than ``limit`` plans; it then
+    keeps the ``limit`` combined plans that come first by plan key.  The
+    search is serial; ``threads`` is accepted for compatibility and changes
+    neither the output nor the work.
     """
     if data is None:
         data = load_block_data()
-    if diagram.node_count == 0:
+    lists = []
+    truncated = False
+    for nodes in _parts(diagram):
+        plans, part_truncated = _part_plans(diagram, nodes, data, limit)
+        if not plans:
+            return DecomposeResult((), False)
+        lists.append(plans)
+        truncated = truncated or part_truncated
+    if not lists:
         return DecomposeResult((), False)
 
-    search = _Search(diagram, data, limit)
-    search._dfs(())
-    plans = sorted(search.found.values(), key=lambda p: plan_key(data, p))
-    truncated = search.truncated
-    if len(plans) > limit:
-        plans = plans[:limit]
-        truncated = True
+    combined = (
+        Plan(diagram.mode, tuple(sorted(chain.from_iterable(choice))))
+        for choice in product(*lists)
+    )
+    plans = heapq.nsmallest(limit, combined, key=lambda p: plan_key(data, p))
+    truncated = truncated or prod(map(len, lists)) > limit
     return DecomposeResult(tuple(plans), truncated)
 
 
 def is_decomposable(
     diagram: Diagram, data: BlockData | None = None
 ) -> bool:
-    """Whether at least one block decomposition exists."""
-    return bool(enumerate_decompositions(diagram, data, limit=1).plans)
+    """Whether at least one block decomposition exists, that is, whether
+    every part of the diagram has one; the product is never built."""
+    if data is None:
+        data = load_block_data()
+    parts = _parts(diagram)
+    return bool(parts) and all(_part_plans(diagram, nodes, data, 1)[0] for nodes in parts)

@@ -43,6 +43,18 @@ class NonSurfaceComplex(SurfaceError):
     pass
 
 
+class DisconnectedComplex(NonSurfaceComplex):
+    """The plan's blocks fall into pieces that share no node, so they glue
+    into several surfaces; :func:`assemble` builds one."""
+
+    def __init__(self, components: int):
+        super().__init__(
+            f"the blocks form {components} connected components; "
+            "a surface is assembled for a connected decomposition only"
+        )
+        self.components = components
+
+
 @dataclass(frozen=True)
 class SurfaceInvariants:
     genus: int
@@ -240,6 +252,13 @@ def assemble(data: BlockData, plan: Plan) -> Triangulation:
     """Glue the plan's pieces into the decomposition's surface."""
     result = glue(data, plan)  # validates the plan
     colors = result.colors
+    pieces = _UnionFind()  # instances that share a node are glued together
+    for inst in plan.instances:
+        for node in inst.nodes:
+            pieces.union(inst.nodes[0], node)
+    components = len({pieces.find(node) for node in range(len(colors))})
+    if components > 1:
+        raise DisconnectedComplex(components)
 
     arc_ends: dict[SideId, list[Vertex]] = {}
     bseg_ends: dict[SideId, list[Vertex]] = {}

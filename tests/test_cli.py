@@ -89,11 +89,13 @@ def test_decompose_limit_truncation_is_internal_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--threads", "0"), ("--threads", "-3"), ("--limit", "0"), ("--limit", "-1")],
+    [("--threads", "0"), ("--threads", "-3"), ("--limit", "0"), ("--limit", "-1"),
+     ("--max-nodes", "0"), ("--max-nodes", "-1")],
 )
 def test_non_positive_counts_are_input_errors(capsys, triangle_file, flag, value):
+    command = ["sweep"] if flag == "--max-nodes" else ["decompose", triangle_file]
     with pytest.raises(SystemExit) as exc:
-        main(["decompose", triangle_file, flag, value])
+        main([*command, flag, value])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least 1, got {value}" in err
@@ -165,6 +167,22 @@ def test_surface_entry_5_disk_vs_annulus(capsys):
         for s in payload["surfaces"]
     )
     assert classes == [(0, 1), (0, 2)]
+
+
+def test_surface_of_disconnected_decomposition_is_input_error(capsys, tmp_path):
+    path = tmp_path / "two_edges.txt"
+    path.write_text("nodes 4\nedge 0 1 1\nedge 2 3 1\n")
+    code, out, err = run(capsys, "surface", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: decomposition 0: the blocks form 2 connected components" in err
+    assert "Traceback" not in err
+
+    # Two isolated nodes glue from two cancelling spikes into one surface.
+    path.write_text("nodes 2\n")
+    code, out, _ = run(capsys, "surface", str(path))
+    assert code == 0
+    assert "count 1" in out
 
 
 def test_surface_input_choice_errors(capsys, triangle_file):
@@ -239,6 +257,16 @@ def test_verify_catalog_single_entry(capsys):
     assert "graph 17" in out and "2" in out
     code, _, err = run(capsys, "verify-catalog", "--entry", "nope")
     assert code == 2
+
+
+def test_unknown_entry_message_lists_known_ids(capsys):
+    code, _, verify_err = run(capsys, "verify-catalog", "--entry", "nope")
+    assert code == 2
+    code, _, surface_err = run(capsys, "surface", "--entry", "nope")
+    assert code == 2
+    message = verify_err.splitlines()[0]
+    assert message.startswith("error: no catalog entry 'nope' (known: 1, 2, 3,")
+    assert message == surface_err.splitlines()[0]
 
 
 def test_verify_catalog_failure_exit(capsys, tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
 """Tests for the decomposition search against hand-verified plan sets."""
 
+from math import prod
+from random import Random
+
 import pytest
 
 from blockdec.blocks import load_block_data
+from blockdec.catalog import catalog_entry
 from blockdec.decompose import enumerate_decompositions, is_decomposable
-from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram
+from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, relabel_diagram
 from blockdec.gluing import BlockInstance, Plan, glue, plan_key
+from blockdec.oracle import enumerate_plans
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +219,120 @@ class TestLimitsAndThreads:
         more = enumerate_decompositions(diagram, data, threads=7)
         assert sequential == threaded == more
         assert not sequential.truncated
+
+
+def disjoint_union(*diagrams, isolated=0):
+    """The diagrams side by side, each shifted past the ones before it, then
+    ``isolated`` edgeless nodes."""
+    edges, offset = [], 0
+    for d in diagrams:
+        edges += [(e.src + offset, e.dst + offset, e.weight) for e in d.edges]
+        offset += d.node_count
+    return make_diagram(offset + isolated, edges, mode=diagrams[0].mode)
+
+
+def relabelled_keys(data, plans, relabel):
+    """Plan keys after moving node ``v`` to ``relabel[v]``."""
+    return {
+        plan_key(
+            data,
+            Plan(p.mode, tuple(
+                BlockInstance(i.tag, tuple(relabel[v] for v in i.nodes))
+                for i in p.instances
+            )),
+        )
+        for p in plans
+    }
+
+
+def parts_of(diagram):
+    """Node -> part: the connected components with edges, and one more part
+    holding every isolated node."""
+    part = list(range(diagram.node_count))
+
+    def find(v):
+        while part[v] != v:
+            v = part[v]
+        return v
+
+    touched = set()
+    for e in diagram.edges:
+        touched.update((e.src, e.dst))
+        part[find(e.src)] = find(e.dst)
+    return {v: find(v) if v in touched else -1 for v in range(diagram.node_count)}
+
+
+class TestDisjointUnions:
+    @pytest.mark.parametrize(
+        "ids, isolated",
+        [(("1", "4"), 0), (("5", "9"), 0), (("6", "7"), 0), (("16", "17"), 0),
+         (("1", "11"), 4)],
+    )
+    def test_plans_are_the_product_of_the_parts(self, data, ids, isolated):
+        parts = [catalog_entry(i).diagram for i in ids]
+        if isolated:
+            parts.append(make_diagram(isolated, [], mode=parts[0].mode))
+        counts = [len(enumerate_decompositions(d, data).plans) for d in parts]
+        target = disjoint_union(*parts)
+        result = enumerate_decompositions(target, data)
+        assert not result.truncated
+        assert len(result.plans) == prod(counts)
+        for plan in result.plans:
+            assert glue(data, plan).diagram == target
+
+        # Swapping the two parts, or shuffling every node id, only renames the
+        # plans.
+        first, second = parts[0].node_count, parts[1].node_count
+        swapped = disjoint_union(parts[1], parts[0], *parts[2:])
+        to_target = [
+            v + first if v < second else v - second if v < first + second else v
+            for v in range(target.node_count)
+        ]
+        shuffled = list(range(target.node_count))
+        Random(len(shuffled)).shuffle(shuffled)
+        back = [shuffled.index(v) for v in range(target.node_count)]
+        keys = [plan_key(data, p) for p in result.plans]
+        for other, relabel in (
+            (swapped, to_target),
+            (relabel_diagram(target, shuffled), back),
+        ):
+            plans = enumerate_decompositions(other, data).plans
+            assert relabelled_keys(data, plans, relabel) == set(keys)
+
+    def test_limit_below_the_product_keeps_the_first_plans(self, data):
+        target = disjoint_union(catalog_entry("4").diagram, catalog_entry("9").diagram)
+        full = enumerate_decompositions(target, data)
+        assert len(full.plans) == 9 and not full.truncated
+        for limit in (1, 4, 8):
+            result = enumerate_decompositions(target, data, limit=limit)
+            assert result.truncated
+            assert result.plans == full.plans[:limit]
+
+    def test_decomposability_does_not_build_the_product(self, data):
+        # 2**20 combined plans; every part decomposes on its own.
+        cycle = make_diagram(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+        assert is_decomposable(disjoint_union(*[cycle] * 20), data)
+        assert not is_decomposable(disjoint_union(*[cycle] * 20, isolated=1), data)
+
+    def test_a_part_without_plans_empties_the_result(self, data):
+        # Entry 1 decomposes; the lone isolated node cannot be covered.
+        target = disjoint_union(catalog_entry("1").diagram, make_diagram(3, [(0, 1, 1)]))
+        result = enumerate_decompositions(target, data)
+        assert result.plans == () and not result.truncated
+        assert not is_decomposable(target, data)
+
+
+class TestPartLemma:
+    @pytest.mark.parametrize(
+        "mode, max_blocks, max_nodes", [(QUIVER, 4, 7), (S_DIAGRAM, 4, 6)]
+    )
+    def test_no_instance_leaves_its_part(self, data, mode, max_blocks, max_nodes):
+        """The lemma the component split rests on, on every oracle plan within
+        the budget: each instance lies inside one part of the glued diagram."""
+        plans = 0
+        for plan in enumerate_plans(data, mode, max_blocks, max_nodes):
+            part = parts_of(glue(data, plan).diagram)
+            for inst in plan.instances:
+                assert len({part[v] for v in inst.nodes}) == 1, plan_key(data, plan)
+            plans += 1
+        assert plans > 1000
