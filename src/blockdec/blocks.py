@@ -143,10 +143,17 @@ class BlockTemplate:
 
 @dataclass(frozen=True)
 class BlockData:
-    """All templates and pieces from one data file."""
+    """All templates and pieces from one data file.
+
+    ``split_modes`` holds the modes whose templates meet the conditions of
+    the part lemma in :mod:`blockdec.decompose` (see
+    :func:`_instances_stay_in_parts`); only there is a diagram decomposed
+    part by part.
+    """
 
     templates: dict[str, BlockTemplate]
     pieces: dict[str, Piece]
+    split_modes: frozenset[str] = frozenset()
 
     def template(self, tag: str) -> BlockTemplate:
         try:
@@ -214,6 +221,61 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
             steps.append((pos, joins))
         orders.append(tuple(steps))
     return replace(template, index_edges=edges, placement_orders=tuple(orders))
+
+
+def _instances_stay_in_parts(templates: list[BlockTemplate]) -> bool:
+    """The conditions of the part lemma in :mod:`blockdec.decompose`: every
+    template is connected, and wherever an instance J cancels the arrow of an
+    instance I between white nodes a and b, the net of I + J leaves a and b
+    either both without arrows or with arrows to a common node.
+
+    Only an arrow between two white labels can be cancelled, and only by an
+    arrow of the same weight and the opposite direction between two white
+    labels of J.  Every such pairing is tried, with each way for J's other
+    white labels to share I's other white labels.
+    """
+    if any(len(t.diagram().components()) > 1 for t in templates):
+        return False
+    for s in templates:
+        for p, q, w in s.index_edges:
+            if s.colors[p] != WHITE or s.colors[q] != WHITE:
+                continue
+            s_open = [i for i in range(s.size) if s.colors[i] == WHITE and i not in (p, q)]
+            for t in templates:
+                for r, u, tw in t.index_edges:
+                    if tw != w or t.colors[r] != WHITE or t.colors[u] != WHITE:
+                        continue
+                    t_open = [j for j in range(t.size) if t.colors[j] == WHITE and j not in (r, u)]
+                    for k in range(min(len(s_open), len(t_open)) + 1):
+                        for shared in itertools.combinations(t_open, k):
+                            for image in itertools.permutations(s_open, k):
+                                # J's arrow r->u lands on q->p, against I's p->q.
+                                where = {r: q, u: p, **dict(zip(shared, image))}
+                                for j in range(t.size):
+                                    where.setdefault(j, s.size + j)
+                                if not _cancel_keeps_parts(s, t, where, p, q):
+                                    return False
+    return True
+
+
+def _cancel_keeps_parts(
+    s: BlockTemplate, t: BlockTemplate, where: dict[int, int], p: int, q: int
+) -> bool:
+    """In the net of ``s`` on nodes ``0..`` and ``t`` placed by ``where``, are
+    ``p`` and ``q`` both without arrows, or do both have one to a common node?"""
+    nets: dict[tuple[int, int], tuple[int, int]] = {}
+    arrows = [(where[f], where[h], w) for f, h, w in t.index_edges]
+    for a, b, w in list(s.index_edges) + arrows:
+        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+        unit, heavy = nets.get(key, (0, 0))
+        nets[key] = (unit + sign, heavy) if w == 1 else (unit, heavy + sign * w)
+    near = {p: set(), q: set()}
+    for (a, b), net in nets.items():
+        if net != (0, 0):
+            for x, y in ((a, b), (b, a)):
+                if x in near:
+                    near[x].add(y)
+    return not near[p] and not near[q] or bool(near[p] & near[q])
 
 
 def _parse_lines(text: str) -> tuple[list[dict], list[dict]]:
@@ -445,7 +507,13 @@ def parse_block_data(text: str) -> BlockData:
         _validate_template(template, pieces[rb["piece"]])
         templates[template.tag] = _compile(template)
 
-    return BlockData(templates=templates, pieces=pieces)
+    data = BlockData(templates=templates, pieces=pieces)
+    split_modes = frozenset(
+        mode
+        for mode in (QUIVER, S_DIAGRAM)
+        if _instances_stay_in_parts([data.template(t) for t in data.tags_for_mode(mode)])
+    )
+    return replace(data, split_modes=split_modes)
 
 
 def _data_text(filename: str) -> str:

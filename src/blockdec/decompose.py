@@ -27,27 +27,41 @@ has edges is a part, and all isolated nodes together form one more part.  A
 decomposition of the whole is one decomposition of each part, so the result
 is the Cartesian product of the parts' plan lists.  This rests on a lemma:
 
-    In a plan that glues to a diagram, no block instance spans two connected
-    components that have edges, and no instance touches both an isolated
-    node and a node with edges.
+    In a plan that glues to a diagram, every block instance lies inside one
+    part, provided (1) every template is connected, and (2) wherever an
+    instance J cancels the arrow of an instance I between white nodes a and
+    b, the net of I + J leaves a and b either both without arrows or with
+    arrows to one common node.
 
-Why it should hold: an instance that crosses between parts puts an arrow on a
-pair without a target edge, so a second instance must cancel it there, and
-the two then fill both slots of both endpoints.  No proof is given here.
-``tests/test_decompose.py`` checks the lemma on every plan the oracle
-enumerates up to 4 blocks on 7 nodes in quiver mode and 4 blocks on 6 nodes
-in s-mode, and the oracle differential tests include disconnected diagrams.
-Parts are searched smallest first, so a diagram without a decomposition is
-usually rejected early.  The isolated-node part depends only on the mode and
-the number of isolated nodes, so its plans are memoised.
+Proof.  Take an instance I and an edge of its template, placed on the nodes
+a and b.  If the plan's net on {a, b} is nonzero, the plan glues only if the
+diagram has that edge, so a and b share a component.  Otherwise another
+instance J cancels I's arrow there.  A black slot cannot be shared, and a
+node takes at most two white slots, so a and b are white in I and J and lie
+in no third instance.  Every arrow at a or at b therefore comes from I or J,
+and the diagram's edges at a and b are exactly the nonzero nets of I + J
+there.  By (2), either a and b are both isolated, or both are joined to one
+node and share a component.  So each template edge of I joins two nodes of
+one part, and since the template is connected by (1), all of I lies in one
+part.  So a plan of the whole, cut along the parts, gives one plan of each
+part; and plans of the parts share no node and put no arrow between parts,
+so their union glues to the whole.
+
+Connectivity alone is not enough: a white path 0 -> 1 -> 2 and a white arrow
+1 -> 0 glue to the single edge 1 -> 2 plus the isolated node 0.
+:func:`blockdec.blocks.parse_block_data` checks (1) and (2) per mode by
+trying every way two templates can cancel an arrow, and records the modes
+that pass in ``BlockData.split_modes``; in any other mode the whole diagram
+is searched as one part.  The bundled block data passes in both modes, and
+``tests/test_decompose.py`` also checks the lemma on every plan the oracle
+enumerates within small budgets.  Parts are searched smallest first, so a
+diagram without a decomposition is usually rejected early.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import chain, product
-from math import prod
+from itertools import chain, islice, product
 
 from .blocks import BLACK, WHITE, BlockData, BlockTemplate, load_block_data
 from .diagram import Diagram, QUIVER, S_DIAGRAM, make_diagram
@@ -209,79 +223,50 @@ class _Search:
             state.pop()
 
 
-def _parts(diagram: Diagram) -> list[tuple[int, ...]]:
+def _parts(diagram: Diagram, data: BlockData) -> list[tuple[int, ...]]:
     """The node sets searched on their own, smallest first: each connected
-    component with edges, and all isolated nodes together."""
-    adjacent: dict[int, list[int]] = {}
-    for e in diagram.edges:
-        adjacent.setdefault(e.src, []).append(e.dst)
-        adjacent.setdefault(e.dst, []).append(e.src)
-    parts = []
-    seen: set[int] = set()
-    for start in sorted(adjacent):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, part = [start], []
-        while stack:
-            node = stack.pop()
-            part.append(node)
-            for other in adjacent[node]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        parts.append(tuple(sorted(part)))
-    isolated = tuple(v for v in range(diagram.node_count) if v not in adjacent)
+    component with edges, and all isolated nodes together.  Where the block
+    data does not meet the part lemma's conditions, the whole diagram is the
+    only part."""
+    if diagram.mode not in data.split_modes:
+        return [tuple(range(diagram.node_count))] if diagram.node_count else []
+    components = diagram.components()
+    parts = [c for c in components if len(c) > 1]
+    isolated = tuple(c[0] for c in components if len(c) == 1)
     if isolated:
         parts.append(isolated)
     return sorted(parts, key=lambda part: (len(part), part))
 
 
-# (id(data), mode, count) -> (data, plans on nodes 0..count-1).  Holding data
-# keeps it alive, so no other block data can take its id.
-_ISOLATED: dict[tuple[int, str, int], tuple[BlockData, list[tuple[BlockInstance, ...]]]] = {}
-
-
-def _whole_plans(
-    diagram: Diagram, data: BlockData, limit: int
-) -> tuple[list[tuple[BlockInstance, ...]], bool]:
-    """The plans of a diagram searched as one part, and whether the search was
-    truncated.  An edgeless diagram's untruncated plans are memoised."""
-    memo_key = (id(data), diagram.mode, diagram.node_count)
-    cached = None if diagram.edges else _ISOLATED.get(memo_key)
-    if cached is not None:
-        return cached[1], len(cached[1]) > limit
-    search = _Search(diagram, data, limit)
-    search._dfs(())
-    plans = list(search.found)
-    if not diagram.edges and not search.truncated:
-        _ISOLATED[memo_key] = (data, plans)
-    return plans, search.truncated
-
-
 def _part_plans(
     diagram: Diagram, nodes: tuple[int, ...], data: BlockData, limit: int
 ) -> tuple[list[tuple[BlockInstance, ...]], bool]:
-    """The plans of one part on the original node ids, and whether its search
-    was truncated.
+    """The plans of one part on the original node ids, sorted as tuples, and
+    whether its search was truncated.
 
     A part smaller than the diagram is relabelled to ``0..k-1`` in increasing
     node order and its plans are mapped back.  Both maps are increasing, so
     they keep canonical instances canonical and sorted plans sorted.
     """
     if len(nodes) == diagram.node_count:
-        return _whole_plans(diagram, data, limit)
-    index = {node: i for i, node in enumerate(nodes)}
-    edges = [
-        (index[e.src], index[e.dst], e.weight) for e in diagram.edges if e.src in index
-    ]
-    plans, truncated = _whole_plans(
-        make_diagram(len(nodes), edges, diagram.mode), data, limit
-    )
-    return [
-        tuple(BlockInstance(i.tag, tuple(nodes[v] for v in i.nodes)) for i in plan)
-        for plan in plans
-    ], truncated
+        part = diagram
+    else:
+        index = {node: i for i, node in enumerate(nodes)}
+        edges = [
+            (index[e.src], index[e.dst], e.weight)
+            for e in diagram.edges
+            if e.src in index
+        ]
+        part = make_diagram(len(nodes), edges, diagram.mode)
+    search = _Search(part, data, limit)
+    search._dfs(())
+    plans = sorted(search.found)
+    if part is not diagram:
+        plans = [
+            tuple(BlockInstance(i.tag, tuple(nodes[v] for v in i.nodes)) for i in plan)
+            for plan in plans
+        ]
+    return plans, search.truncated
 
 
 def enumerate_decompositions(
@@ -299,15 +284,15 @@ def enumerate_decompositions(
     has no plan, neither has the diagram, and the result is empty and not
     truncated.  The result is truncated and flagged when a part's search
     stops at ``limit`` or the product has more than ``limit`` plans; it then
-    keeps the ``limit`` combined plans that come first by plan key.  The
-    search is serial; ``threads`` is accepted for compatibility and changes
-    neither the output nor the work.
+    holds ``limit`` valid plans, sorted by plan key, and which ones is
+    unspecified.  The search is serial; ``threads`` is accepted for
+    compatibility and changes neither the output nor the work.
     """
     if data is None:
         data = load_block_data()
     lists = []
     truncated = False
-    for nodes in _parts(diagram):
+    for nodes in _parts(diagram, data):
         plans, part_truncated = _part_plans(diagram, nodes, data, limit)
         if not plans:
             return DecomposeResult((), False)
@@ -316,12 +301,15 @@ def enumerate_decompositions(
     if not lists:
         return DecomposeResult((), False)
 
-    combined = (
-        Plan(diagram.mode, tuple(sorted(chain.from_iterable(choice))))
-        for choice in product(*lists)
+    # At most limit + 1 combinations are built: a truncated part holds
+    # limit + 1 plans, so a lone part is cut exactly as a whole search is.
+    choices = islice(product(*lists), limit + 1)
+    plans = sorted(
+        (Plan(diagram.mode, tuple(sorted(chain.from_iterable(choice)))) for choice in choices),
+        key=lambda p: plan_key(data, p),
     )
-    plans = heapq.nsmallest(limit, combined, key=lambda p: plan_key(data, p))
-    truncated = truncated or prod(map(len, lists)) > limit
+    if len(plans) > limit:
+        plans, truncated = plans[:limit], True
     return DecomposeResult(tuple(plans), truncated)
 
 
@@ -332,5 +320,5 @@ def is_decomposable(
     every part of the diagram has one; the product is never built."""
     if data is None:
         data = load_block_data()
-    parts = _parts(diagram)
+    parts = _parts(diagram, data)
     return bool(parts) and all(_part_plans(diagram, nodes, data, 1)[0] for nodes in parts)

@@ -79,21 +79,32 @@ class Diagram:
         """Directed (src, dst) -> weight mapping."""
         return {(e.src, e.dst): e.weight for e in self.edges}
 
-    def is_connected(self) -> bool:
-        if self.node_count <= 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in range(self.node_count)}
+    def components(self) -> list[tuple[int, ...]]:
+        """The connected components, each sorted, in order of their least
+        node; an isolated node is a component of its own."""
+        adj: list[list[int]] = [[] for _ in range(self.node_count)]
         for e in self.edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.node_count
+            adj[e.src].append(e.dst)
+            adj[e.dst].append(e.src)
+        seen: set[int] = set()
+        components = []
+        for start in range(self.node_count):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, component = [start], []
+            while stack:
+                node = stack.pop()
+                component.append(node)
+                for other in adj[node]:
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+            components.append(tuple(sorted(component)))
+        return components
+
+    def is_connected(self) -> bool:
+        return len(self.components()) <= 1
 
 
 def make_diagram(node_count: int, edges: Iterable[tuple[int, int, int]], mode: str = QUIVER) -> Diagram:

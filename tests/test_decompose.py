@@ -1,11 +1,12 @@
 """Tests for the decomposition search against hand-verified plan sets."""
 
+from importlib import resources
 from math import prod
 from random import Random
 
 import pytest
 
-from blockdec.blocks import load_block_data
+from blockdec.blocks import load_block_data, parse_block_data
 from blockdec.catalog import catalog_entry
 from blockdec.decompose import enumerate_decompositions, is_decomposable
 from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, relabel_diagram
@@ -299,14 +300,26 @@ class TestDisjointUnions:
             plans = enumerate_decompositions(other, data).plans
             assert relabelled_keys(data, plans, relabel) == set(keys)
 
-    def test_limit_below_the_product_keeps_the_first_plans(self, data):
+    def test_limit_below_the_product_truncates(self, data):
         target = disjoint_union(catalog_entry("4").diagram, catalog_entry("9").diagram)
         full = enumerate_decompositions(target, data)
         assert len(full.plans) == 9 and not full.truncated
         for limit in (1, 4, 8):
             result = enumerate_decompositions(target, data, limit=limit)
             assert result.truncated
-            assert result.plans == full.plans[:limit]
+            assert len(result.plans) == limit
+            assert set(result.plans) <= set(full.plans)
+            for plan in result.plans:
+                assert glue(data, plan).diagram == target
+
+    def test_truncation_builds_at_most_limit_plus_one_combinations(self, data):
+        # 2**16 combined plans; only the first 101 are built.
+        cycle = make_diagram(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+        target = disjoint_union(*[cycle] * 16)
+        result = enumerate_decompositions(target, data, limit=100)
+        assert result.truncated and len(result.plans) == 100
+        for plan in result.plans:
+            assert glue(data, plan).diagram == target
 
     def test_decomposability_does_not_build_the_product(self, data):
         # 2**20 combined plans; every part decomposes on its own.
@@ -336,3 +349,33 @@ class TestPartLemma:
                 assert len({part[v] for v in inst.nodes}) == 1, plan_key(data, plan)
             plans += 1
         assert plans > 1000
+
+    def test_bundled_data_splits_in_both_modes(self, data):
+        assert data.split_modes == {QUIVER, S_DIAGRAM}
+
+    @pytest.mark.parametrize(
+        "block, instances, edges",
+        [
+            # Connected, but the Spike arrow 1 -> 0 cancels the path's 0 -> 1
+            # and leaves node 0 isolated.
+            ("block Path\nnode 1 white\nnode 2 white\nnode 3 white\n"
+             "edge 1 2 1\nedge 2 3 1\npiece triangle\n",
+             (("Path", (0, 1, 2)), ("Spike", (0, 1))), [(1, 2, 1)]),
+            # Disconnected: one instance spans the components {0, 1} and {2, 3}.
+            ("block Apart\nnode 1 white\nnode 2 white\nnode 3 white\n"
+             "edge 2 1 1\npiece triangle\n",
+             (("Apart", (0, 1, 2)), ("Spike", (2, 3))), [(1, 0, 1), (3, 2, 1)]),
+        ],
+        ids=["connected", "disconnected"],
+    )
+    def test_data_that_breaks_the_lemma_is_searched_whole(self, block, instances, edges):
+        """Block data whose templates fail the lemma's conditions in a mode is
+        not split there, so plans whose instances cross parts are still found."""
+        text = resources.files("blockdec.data").joinpath("blocks.txt").read_text()
+        custom = parse_block_data(text + block)
+        assert custom.split_modes == {QUIVER}  # the new block is s-mode only
+        plan = Plan(S_DIAGRAM, tuple(BlockInstance(t, n) for t, n in instances))
+        target = make_diagram(max(v for _, n in instances for v in n) + 1, edges, S_DIAGRAM)
+        assert glue(custom, plan).diagram == target
+        keys = {plan_key(custom, p) for p in enumerate_decompositions(target, custom).plans}
+        assert plan_key(custom, plan) in keys

@@ -76,6 +76,19 @@ class TestMakeDiagram:
             make_diagram(2, [(0, 2, 1)], QUIVER)
 
 
+class TestComponents:
+    def test_components_in_order_of_least_node(self):
+        d = make_diagram(6, [(4, 1, 1), (1, 5, 1), (2, 3, 4)], QUIVER)
+        assert d.components() == [(0,), (1, 4, 5), (2, 3)]
+        assert not d.is_connected()
+
+    def test_connected_and_trivial(self):
+        assert cycle3().components() == [(0, 1, 2)]
+        assert cycle3().is_connected()
+        assert make_diagram(1, [], QUIVER).is_connected()
+        assert make_diagram(0, [], QUIVER).components() == []
+
+
 class TestToMatrix:
     def test_single_arrow(self):
         d = make_diagram(2, [(0, 1, 1)], QUIVER)
