@@ -17,7 +17,6 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable
 
 from .diagram import (
     ALLOWED_WEIGHTS,
@@ -79,12 +78,6 @@ class Piece:
                 return s
         raise KeyError(sid)
 
-    def outlet_side(self, label: str) -> Side:
-        for lab, sid in self.outlets:
-            if lab == label:
-                return self.side(sid)
-        raise KeyError(label)
-
     def slot_count(self, sid: str) -> int:
         return sum(1 for face in self.faces for fsid, _ in face if fsid == sid)
 
@@ -115,9 +108,6 @@ class BlockTemplate:
     @property
     def is_elementary(self) -> bool:
         return self.tag in ELEMENTARY_TAGS
-
-    def color(self, label: str) -> str:
-        return self.colors[self.labels.index(label)]
 
     def white_labels(self) -> tuple[str, ...]:
         return tuple(l for l, c in zip(self.labels, self.colors) if c == WHITE)
@@ -223,20 +213,27 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
     return replace(template, index_edges=edges, placement_orders=tuple(orders))
 
 
-def _instances_stay_in_parts(templates: list[BlockTemplate]) -> bool:
-    """The conditions of the part lemma in :mod:`blockdec.decompose`: every
-    template is connected, and wherever an instance J cancels the arrow of an
-    instance I between white nodes a and b, the net of I + J leaves a and b
-    either both without arrows or with arrows to a common node.
+def _instances_stay_in_parts(data: BlockData, mode: str) -> bool:
+    """The conditions of the part lemma in :mod:`blockdec.decompose` for the
+    templates of ``mode``: every template is connected, and wherever an
+    instance J cancels the arrow of an instance I between white nodes a and
+    b, the net of I + J leaves a and b either both without arrows or with
+    arrows to a common node.
 
     Only an arrow between two white labels can be cancelled, and only by an
     arrow of the same weight and the opposite direction between two white
     labels of J.  Every such pairing is tried, with each way for J's other
-    white labels to share I's other white labels.
+    white labels to share I's other white labels.  I and J are glued on one
+    :class:`~blockdec.gluing.GlueState`, I on nodes ``0..`` and J after them.
     """
+    from .gluing import BlockInstance, GlueState  # gluing imports this module
+
+    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
     if any(len(t.diagram().components()) > 1 for t in templates):
         return False
+    state = GlueState(data, 2 * max((t.size for t in templates), default=0))
     for s in templates:
+        state.push(BlockInstance(s.tag, tuple(range(s.size))))
         for p, q, w in s.index_edges:
             if s.colors[p] != WHITE or s.colors[q] != WHITE:
                 continue
@@ -251,31 +248,21 @@ def _instances_stay_in_parts(templates: list[BlockTemplate]) -> bool:
                             for image in itertools.permutations(s_open, k):
                                 # J's arrow r->u lands on q->p, against I's p->q.
                                 where = {r: q, u: p, **dict(zip(shared, image))}
-                                for j in range(t.size):
-                                    where.setdefault(j, s.size + j)
-                                if not _cancel_keeps_parts(s, t, where, p, q):
+                                nodes = tuple(where.get(j, s.size + j) for j in range(t.size))
+                                state.push(BlockInstance(t.tag, nodes))
+                                keeps = _cancel_keeps_parts(state.nets, p, q)
+                                state.pop()
+                                if not keeps:
                                     return False
+        state.pop()
     return True
 
 
-def _cancel_keeps_parts(
-    s: BlockTemplate, t: BlockTemplate, where: dict[int, int], p: int, q: int
-) -> bool:
-    """In the net of ``s`` on nodes ``0..`` and ``t`` placed by ``where``, are
-    ``p`` and ``q`` both without arrows, or do both have one to a common node?"""
-    nets: dict[tuple[int, int], tuple[int, int]] = {}
-    arrows = [(where[f], where[h], w) for f, h, w in t.index_edges]
-    for a, b, w in list(s.index_edges) + arrows:
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        unit, heavy = nets.get(key, (0, 0))
-        nets[key] = (unit + sign, heavy) if w == 1 else (unit, heavy + sign * w)
-    near = {p: set(), q: set()}
-    for (a, b), net in nets.items():
-        if net != (0, 0):
-            for x, y in ((a, b), (b, a)):
-                if x in near:
-                    near[x].add(y)
-    return not near[p] and not near[q] or bool(near[p] & near[q])
+def _cancel_keeps_parts(nets: dict[tuple[int, int], tuple[int, int]], p: int, q: int) -> bool:
+    """Given the nonzero nets of two glued instances, are ``p`` and ``q``
+    both without arrows, or do both have one to a common node?"""
+    near_p, near_q = ({b if a == x else a for a, b in nets if x in (a, b)} for x in (p, q))
+    return not near_p and not near_q or bool(near_p & near_q)
 
 
 def _parse_lines(text: str) -> tuple[list[dict], list[dict]]:
@@ -509,9 +496,7 @@ def parse_block_data(text: str) -> BlockData:
 
     data = BlockData(templates=templates, pieces=pieces)
     split_modes = frozenset(
-        mode
-        for mode in (QUIVER, S_DIAGRAM)
-        if _instances_stay_in_parts([data.template(t) for t in data.tags_for_mode(mode)])
+        mode for mode in (QUIVER, S_DIAGRAM) if _instances_stay_in_parts(data, mode)
     )
     return replace(data, split_modes=split_modes)
 

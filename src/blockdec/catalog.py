@@ -224,12 +224,9 @@ def verify_entry(
     data: BlockData | None = None,
     *,
     limit: int = 10000,
-    threads: int = 1,
 ) -> EntryReport:
     data = load_block_data() if data is None else data
-    result = enumerate_decompositions(
-        entry.diagram, data, limit=limit, threads=threads
-    )
+    result = enumerate_decompositions(entry.diagram, data, limit=limit)
 
     keys = []
     invariants = []
@@ -262,13 +259,10 @@ def verify_catalog(
     data: BlockData | None = None,
     *,
     limit: int = 10000,
-    threads: int = 1,
 ) -> tuple[EntryReport, ...]:
     entries = load_catalog() if entries is None else entries
     data = load_block_data() if data is None else data
-    return tuple(
-        verify_entry(entry, data, limit=limit, threads=threads) for entry in entries
-    )
+    return tuple(verify_entry(entry, data, limit=limit) for entry in entries)
 
 
 def match_catalog(

@@ -114,9 +114,7 @@ def _diagram_payload(diagram: Diagram) -> dict:
 
 
 def _enumerate(args, diagram: Diagram, data):
-    result = enumerate_decompositions(
-        diagram, data, limit=args.limit, threads=args.threads
-    )
+    result = enumerate_decompositions(diagram, data, limit=args.limit)
     if result.truncated:
         raise _CliError(
             EXIT_INTERNAL,
@@ -251,10 +249,7 @@ def _cmd_verify_catalog(args) -> int:
     if args.entry is not None:
         entries = (_catalog_entry(args.entry, entries),)
 
-    reports = [
-        verify_entry(entry, data, limit=args.limit, threads=args.threads)
-        for entry in entries
-    ]
+    reports = [verify_entry(entry, data, limit=args.limit) for entry in entries]
     ok = all(r.ok for r in reports)
 
     payload = {
@@ -345,14 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, threads=True, limit=True):
+    def add_common(p, *, search=True):
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        if limit:
+        if search:
             p.add_argument(
                 "--limit", type=_positive_int, default=10000,
                 help="abort if more decompositions than this exist (default 10000)",
             )
-        if threads:
             p.add_argument(
                 "--threads", type=_positive_int, default=1,
                 help="accepted for compatibility: the search is serial, and the "
@@ -383,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("glue", help="glue a plan file into a diagram")
     p.add_argument("input", help="plan file, '-' for stdin")
-    add_common(p, threads=False, limit=False)
+    add_common(p, search=False)
     p.set_defaults(func=_cmd_glue)
 
     p = sub.add_parser("verify-catalog", help="re-derive the reference catalog")
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="diagrams with several decompositions")
     p.add_argument("--max-nodes", type=_positive_int, required=True, help="node bound")
     p.add_argument("--mode", choices=sorted(MODES), help="mode (default quiver)")
-    add_common(p, threads=False, limit=False)
+    add_common(p, search=False)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -5,8 +5,8 @@ that glues exactly to the target.  The search is a backtracking enumeration:
 
 * The state of a partial plan is one :class:`~blockdec.gluing.GlueState`
   (per-node slot usage and per-pair signed (unit, heavy) nets), compared
-  against the target's requirements.  Descending into a placement pushes it
-  onto the state; coming back pops it.
+  per pair against the nets :func:`~blockdec.gluing.target_nets` allows.
+  Descending into a placement pushes it onto the state; coming back pops it.
 * A pair *freezes* as soon as either endpoint can accept no further block:
   no future instance can contribute an arrow there, so a frozen pair whose
   net does not realise the target edge kills the branch.
@@ -64,8 +64,10 @@ from dataclasses import dataclass
 from itertools import chain, islice, product
 
 from .blocks import BLACK, WHITE, BlockData, BlockTemplate, load_block_data
-from .diagram import Diagram, QUIVER, S_DIAGRAM, make_diagram
-from .gluing import BlockInstance, GlueState, Plan, canonical_instance, plan_key
+from .diagram import Diagram, make_diagram
+from .gluing import (
+    BlockInstance, GlueState, Plan, canonical_instance, net_with_arrow, plan_key, target_nets,
+)
 
 
 @dataclass(frozen=True)
@@ -74,57 +76,37 @@ class DecomposeResult:
     truncated: bool  # True when enumeration stopped at the limit
 
 
-# Single-block contributions a pair can still receive, per mode.
-_STEPS = {
-    QUIVER: ((1, 0), (-1, 0)),
-    S_DIAGRAM: ((1, 0), (-1, 0), (0, 2), (0, -2), (0, 4), (0, -4)),
-}
-
-
-def _target_reps(diagram: Diagram) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """Admissible final (unit, heavy) nets per pair carrying a target edge."""
-    reps: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for (src, dst), weight in diagram.edge_map().items():
-        key, sign = ((src, dst), 1) if src < dst else ((dst, src), -1)
-        if weight == 1:
-            reps[key] = ((sign, 0),)
-        elif weight == 2:
-            reps[key] = ((0, 2 * sign),)
-        else:  # weight 4: two aligned unit arrows, or a heavy net of four
-            reps[key] = ((2 * sign, 0), (0, 4 * sign))
-    return reps
+_NO_EDGE = frozenset({(0, 0)})
 
 
 class _Search:
     def __init__(self, diagram: Diagram, data: BlockData, limit: int):
         self.data = data
         self.limit = limit
-        self.mode = diagram.mode
         self.n = diagram.node_count
-        self.targets = _target_reps(diagram)
-        self.steps = _STEPS[self.mode]
-        self.templates = [data.template(tag) for tag in data.tags_for_mode(self.mode)]
+        self.templates = [data.template(tag) for tag in data.tags_for_mode(diagram.mode)]
+        # The nets one template arrow can add to a pair, in either direction.
+        steps = {
+            net_with_arrow({}, a, b, w)[1]
+            for template in self.templates
+            for _, _, w in template.index_edges
+            for a, b in ((0, 1), (1, 0))
+        }
+
+        def reachable(nets: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+            return nets | {(u - du, h - dh) for u, h in nets for du, dh in steps}
+
+        # Per pair: the nets that may stand once it is frozen, and, while one
+        # more block can still reach it, those plus the nets one arrow turns
+        # into them.  A pair missing from ``final`` carries no target edge.
+        self.final = target_nets(diagram)
+        self.open = {pair: reachable(nets) for pair, nets in self.final.items()}
+        self.open_no_edge = reachable(_NO_EDGE)
         self.state = GlueState(data, self.n)
         self.interned: dict[BlockInstance, BlockInstance] = {}
         self.visited: set[tuple[BlockInstance, ...]] = set()
         self.found: set[tuple[BlockInstance, ...]] = set()
         self.truncated = False
-
-    def _pair_ok(
-        self,
-        net: tuple[int, int],
-        pair: tuple[int, int],
-        frozen: bool,
-    ) -> bool:
-        """Is this pair's net exact (if frozen) or still completable?"""
-        reps = self.targets.get(pair, ((0, 0),))
-        if net in reps:
-            return True
-        if frozen:
-            return False
-        return any(
-            (net[0] + du, net[1] + dd) in reps for du, dd in self.steps
-        )
 
     # -- extension generation ---------------------------------------------------
 
@@ -170,23 +152,19 @@ class _Search:
         the targets; the pairs of earlier steps passed already and cannot
         change within one extension.
 
-        A pair freezes after this block if an endpoint's slots fill up; frozen
-        pairs must land exactly on a target representation.
+        A pair freezes after this block if an endpoint's slots fill up, and
+        its net must then be final.  Otherwise both endpoints keep one white
+        slot, so at most one more block can add an arrow there.
         """
         covers, nets, colors = self.state.covers, self.state.nets, template.colors
         for fpos, tpos, w in edges:
             a, b = placement[fpos], placement[tpos]
-            key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-            unit, heavy = nets.get(key, (0, 0))
-            if w == 1:
-                unit += sign
+            key, net = net_with_arrow(nets, a, b, w)
+            if covers[a] or covers[b] or colors[fpos] == BLACK or colors[tpos] == BLACK:
+                allowed = self.final.get(key, _NO_EDGE)
             else:
-                heavy += sign * w
-            frozen = (
-                covers[a] >= 1 or covers[b] >= 1
-                or colors[fpos] == BLACK or colors[tpos] == BLACK
-            )
-            if not self._pair_ok((unit, heavy), key, frozen):
+                allowed = self.open.get(key, self.open_no_edge)
+            if net not in allowed:
                 return False
         return True
 
@@ -200,8 +178,8 @@ class _Search:
         state = self.state
         unsettled = [
             pair
-            for pair in set(self.targets) | set(state.nets)
-            if state.nets.get(pair, (0, 0)) not in self.targets.get(pair, ((0, 0),))
+            for pair in set(self.final) | set(state.nets)
+            if state.nets.get(pair, (0, 0)) not in self.final.get(pair, _NO_EDGE)
         ]
 
         # Dead end: an unsettled pair with a closed endpoint is frozen.

@@ -162,11 +162,13 @@ def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
     Weight-1 edges give (1, -1), weight-4 give (2, -2).  Weight-2 edges need
     an asymmetric split consistent with one global positive symmetrizer:
     across weight-1/4 edges the symmetrizer entries are equal, across a
-    weight-2 edge they differ by a factor of 2.  We first try giving every
-    weight-2 edge the (2, -1) split (head entry twice the tail's); if that is
-    globally inconsistent we fall back, per connected component of the
-    contracted weight-2 graph, to a two-coloring (which exists iff the
-    component is bipartite — otherwise :class:`NotSkewSymmetrizable`).
+    weight-2 edge they differ by a factor of 2.  Each connected component of
+    the contracted weight-2 graph is solved on its own: every weight-2 edge
+    takes the (2, -1) split (head entry twice the tail's) where that is
+    consistent, and otherwise the component falls back to a two-coloring
+    (which exists iff it is bipartite — otherwise
+    :class:`NotSkewSymmetrizable`).  So the matrix of a disjoint union is the
+    block-diagonal sum of its parts' matrices.
     """
     n = d.node_count
     b = [[0] * n for _ in range(n)]
@@ -214,63 +216,46 @@ def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
 
 def _solve_w2_exponents(pairs: Sequence[tuple[int, int, Edge]]) -> dict[int, int]:
-    """Assign symmetrizer exponents (log2) to contracted classes.
+    """Assign symmetrizer exponents (log2) to contracted classes, one
+    connected component of the weight-2 graph at a time.
 
-    Every weight-2 edge must see an exponent difference of exactly +-1.
-    Preferred solution: +1 along each edge direction (the (2,-1) split).
-    Fallback: bipartite 0/1 coloring maximizing the number of (2,-1) splits.
+    Every weight-2 edge must see an exponent difference of exactly +-1.  A
+    component takes +1 along each edge direction (the (2,-1) split) where
+    that is consistent, and otherwise the bipartite 0/1 coloring giving the
+    most (2,-1) splits, the least class at 0 on a tie.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     for cs, cd, _ in pairs:
         adj.setdefault(cs, []).append((cd, +1))
         adj.setdefault(cd, []).append((cs, -1))
 
-    classes = sorted(adj)
     exp: dict[int, int] = {}
-    consistent = True
-    for root in classes:
+    for root in sorted(adj):
         if root in exp:
             continue
-        exp[root] = 0
-        stack = [root]
-        while stack and consistent:
-            x = stack.pop()
-            for y, delta in adj[x]:
-                want = exp[x] + delta
-                if y not in exp:
-                    exp[y] = want
-                    stack.append(y)
-                elif exp[y] != want:
-                    consistent = False
-                    break
-    if consistent:
-        return exp
-
-    # Bipartite fallback, per component.
-    exp = {}
-    for root in classes:
-        if root in exp:
-            continue
-        color: dict[int, int] = {root: 0}
-        order = [root]
+        potential = {root: 0}
+        consistent = True
         stack = [root]
         while stack:
             x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    order.append(y)
+            for y, delta in adj[x]:
+                want = potential[x] + delta
+                if y not in potential:
+                    potential[y] = want
                     stack.append(y)
-                elif color[y] == color[x]:
+                elif (potential[y] - want) % 2:
                     raise NotSkewSymmetrizable(
                         "odd cycle of weight-2 edges admits no symmetrizer")
-        # Choose the coloring giving more (2,-1) splits; ties keep root at 0.
-        plain = sum(1 for cs, cd, _ in pairs
-                    if cs in color and color[cd] == color[cs] + 1)
-        flipped = sum(1 for cs, cd, _ in pairs
-                      if cs in color and (1 - color[cd]) == (1 - color[cs]) + 1)
-        chosen = color if plain >= flipped else {x: 1 - c for x, c in color.items()}
-        exp.update(chosen)
+                elif potential[y] != want:
+                    consistent = False
+        if consistent:
+            exp.update(potential)
+            continue
+        # Potentials alternate in parity along every edge: a 2-coloring.
+        color = {x: p % 2 for x, p in potential.items()}
+        plain = sum(1 for cs, cd, _ in pairs if cs in color and color[cd] > color[cs])
+        flipped = sum(1 for cs, cd, _ in pairs if cs in color and color[cd] < color[cs])
+        exp.update(color if plain >= flipped else {x: 1 - c for x, c in color.items()})
     return exp
 
 

@@ -20,11 +20,18 @@ Gluing follows four rules:
 Weight-2 edges only exist in s-mode; in quiver mode only the six weight-1
 (elementary) blocks may be used, so rule 3 is vacuous there.
 
+This module is the only one that knows how a pair's net is encoded and what
+rule 4 makes of it.  :func:`net_with_arrow` is the pair arithmetic of rules 2
+and 3; :func:`_resolve_pair` reads rule 4 forwards, from a net to an edge, and
+:func:`target_nets` reads it backwards, from an edge to the nets that give it.
+
 :class:`GlueState` is the one record of rules 1 to 3: per-node slot use and
 per-pair signed nets, kept up to date as instances are pushed and popped.
 :func:`glue` and :func:`validate_plan` push a whole plan onto a fresh state;
 the decomposer and the oracle walk their search trees on one state each,
-pushing an instance on the way down and popping it on the way back.
+pushing an instance on the way down and popping it on the way back.  Loading
+block data glues pairs of instances on a state to check the part lemma of
+:mod:`blockdec.decompose`.
 """
 
 from __future__ import annotations
@@ -161,6 +168,20 @@ def _check_instances(data: BlockData, plan: Plan) -> list[Violation]:
     return violations
 
 
+def net_with_arrow(
+    nets: dict[tuple[int, int], tuple[int, int]], a: int, b: int, w: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The low-high key of the pair {a, b} and its ``(unit, heavy)`` net in
+    ``nets`` after one more arrow a -> b of weight ``w``.
+
+    Arrows count +1 low->high and -1 high->low: a unit arrow by that sign in
+    ``unit``, a heavy arrow by that sign times its weight in ``heavy``.
+    """
+    key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+    unit, heavy = nets.get(key, (0, 0))
+    return key, ((unit + sign, heavy) if w == 1 else (unit, heavy + sign * w))
+
+
 class GlueState:
     """Rule-1 to rule-3 bookkeeping of a plan built one instance at a time.
 
@@ -197,20 +218,18 @@ class GlueState:
         return inst
 
     def _apply(self, inst: BlockInstance, sign: int) -> None:
-        for node, color in zip(inst.nodes, self.data.template(inst.tag).colors):
+        template = self.data.template(inst.tag)
+        nodes, nets = inst.nodes, self.nets
+        for node, color in zip(nodes, template.colors):
             self.covers[node] += sign
             if color == BLACK:
                 self.blacks[node] += sign
-        nets = self.nets
-        for a, b, w in instance_edges(self.data, inst):
-            key, s = ((a, b), sign) if a < b else ((b, a), -sign)
-            unit, heavy = nets.get(key, (0, 0))
-            if w == 1:
-                unit += s
-            else:
-                heavy += s * w
-            if unit or heavy:
-                nets[key] = (unit, heavy)
+        for f, t, w in template.index_edges:
+            if sign < 0:
+                f, t = t, f  # popping an arrow adds its reverse
+            key, net = net_with_arrow(nets, nodes[f], nodes[t], w)
+            if net != (0, 0):
+                nets[key] = net
             else:
                 del nets[key]
 
@@ -265,6 +284,19 @@ def _resolve_pair(unit: int, heavy: int) -> tuple[int, int]:
     if weight is None:
         raise WeightClash(f"illegal net ({unit}, {heavy}) on one pair")
     return (0, 0) if weight == 0 else (sign, weight)
+
+
+def target_nets(diagram: Diagram) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
+    """Rule 4 backwards: per low-high pair carrying an edge of ``diagram``,
+    every net that :func:`_resolve_pair` maps to that edge.  A pair missing
+    here carries no edge, which only the net ``(0, 0)`` means."""
+    nets = {}
+    for (src, dst), weight in diagram.edge_map().items():
+        key, (sign, _) = net_with_arrow({}, src, dst, 1)  # one unit arrow src -> dst
+        nets[key] = frozenset(
+            (sign * unit, sign * heavy) for (unit, heavy), w in _RESIDUALS.items() if w == weight
+        )
+    return nets
 
 
 def validate_plan(data: BlockData, plan: Plan) -> list[Violation]:

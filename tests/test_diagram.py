@@ -143,6 +143,27 @@ class TestToMatrix:
             for j in range(3):
                 assert dvec[i] * m[i][j] == -dvec[j] * m[j][i]
 
+    def test_disjoint_union_is_block_diagonal(self):
+        # The chain 0 -> 1 -> 2 takes (2,-1) twice; the 4-cycle on 3..6 admits
+        # no consistent (2,-1) splits and falls back to a coloring.  Each part
+        # is solved on its own, so the cycle does not change the chain.
+        chain = make_diagram(3, [(0, 1, 2), (1, 2, 2)], S_DIAGRAM)
+        cycle = make_diagram(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 3, 2)], S_DIAGRAM)
+        union = make_diagram(
+            7,
+            [(0, 1, 2), (1, 2, 2), (3, 4, 2), (4, 5, 2), (5, 6, 2), (3, 6, 2)],
+            S_DIAGRAM,
+        )
+        expected = tuple(row + (0,) * 4 for row in to_matrix(chain)) + tuple(
+            (0,) * 3 + row for row in to_matrix(cycle)
+        )
+        m = to_matrix(union)
+        assert m == expected
+        dvec = symmetrizer(union)
+        for i in range(7):
+            for j in range(7):
+                assert dvec[i] * m[i][j] == -dvec[j] * m[j][i]
+
 
 class TestFromMatrix:
     def test_round_trip_quiver(self):

@@ -6,12 +6,13 @@ from random import Random
 import pytest
 
 from blockdec.blocks import BLACK, WHITE, load_block_data
-from blockdec.diagram import QUIVER, S_DIAGRAM, canonical_key, make_diagram
+from blockdec.diagram import ALLOWED_WEIGHTS, QUIVER, S_DIAGRAM, canonical_key, make_diagram
 from blockdec.gluing import (
     BadInstance,
     BlockInstance,
     CoverageViolation,
     GlueState,
+    GluingError,
     MixedWeightClash,
     OverlapViolation,
     Plan,
@@ -22,6 +23,7 @@ from blockdec.gluing import (
     parse_plan,
     plan_key,
     serialize_plan,
+    target_nets,
     validate_plan,
 )
 from blockdec.oracle import random_plan
@@ -222,6 +224,31 @@ class TestResidualResolution:
     def test_overweight_net_rejected(self):
         with pytest.raises(WeightClash):
             _resolve_pair(0, 6)
+
+    @staticmethod
+    def preimage(edge: tuple[int, int]) -> set[tuple[int, int]]:
+        """The nets within six arrows either way that rule 4 maps to ``edge``."""
+        nets = set()
+        for unit in range(-6, 7):
+            for heavy in range(-6, 7):
+                try:
+                    if _resolve_pair(unit, heavy) == edge:
+                        nets.add((unit, heavy))
+                except GluingError:
+                    pass
+        return nets
+
+    @pytest.mark.parametrize("weight", sorted(ALLOWED_WEIGHTS[S_DIAGRAM]))
+    @pytest.mark.parametrize("src, dst, direction", [(0, 1, 1), (1, 0, -1)])
+    def test_target_nets_are_the_preimage_of_rule_4(self, weight, src, dst, direction):
+        diagram = make_diagram(2, [(src, dst, weight)], S_DIAGRAM)
+        nets = target_nets(diagram)
+        assert set(nets) == {(0, 1)}
+        assert set(nets[(0, 1)]) == self.preimage((direction, weight))
+
+    def test_no_edge_means_only_the_empty_net(self):
+        assert target_nets(make_diagram(2, [], S_DIAGRAM)) == {}
+        assert self.preimage((0, 0)) == {(0, 0)}
 
 
 class TestPlanKeys:
