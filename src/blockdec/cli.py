@@ -405,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
     except BrokenPipeError:
         code = EXIT_INTERNAL
+    except RecursionError:
+        print("error: the search is too deep for this diagram (recursion limit)", file=sys.stderr)
+        code = EXIT_INTERNAL
     finally:
         elapsed = time.perf_counter() - start
         print(f"elapsed {elapsed:.3f}s", file=sys.stderr)

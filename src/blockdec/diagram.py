@@ -359,8 +359,9 @@ def _swap_invariant(emap: dict[tuple[int, int], int], u: int, v: int) -> bool:
 
 def _canonical_order(n: int, emap: dict[tuple[int, int], int]) -> list[int]:
     """Vertex order minimizing the edge encoding (non-isolated vertices)."""
-    touched = sorted({v for e in emap for v in e})
-    isolated = [v for v in range(n) if v not in set(touched)]
+    touched_set = {v for e in emap for v in e}
+    touched = sorted(touched_set)
+    isolated = [v for v in range(n) if v not in touched_set]
     if not touched:
         return isolated
     colors = [0] * n

@@ -120,22 +120,6 @@ def plan_key(data: BlockData, plan: Plan) -> str:
     return f"{canon.mode}|{body}"
 
 
-def parse_plan_key(key: str) -> Plan:
-    """Rebuild a plan from a plan key (inverse of plan_key)."""
-    try:
-        mode, body = key.split("|")
-        instances = []
-        if body:
-            for part in body.split(";"):
-                tag, nodes_text = part.split(":")
-                instances.append(
-                    BlockInstance(tag, tuple(int(t) for t in nodes_text.split(",")))
-                )
-    except ValueError:
-        raise BadInstance(f"malformed plan key {key!r}") from None
-    return Plan(mode, tuple(instances))
-
-
 def _check_instances(data: BlockData, plan: Plan) -> list[Violation]:
     violations = []
     if plan.mode not in MODES:
@@ -165,6 +149,12 @@ def _check_instances(data: BlockData, plan: Plan) -> list[Violation]:
             violations.append(
                 Violation(BadInstance, f"block {inst.tag} placed on repeated node {inst.nodes}")
             )
+    # Fewer slots than ids 0..max cannot cover them; say so before any state
+    # sized by the largest id is built.
+    slots = [n for inst in plan.instances for n in inst.nodes]
+    if not violations and max(slots, default=-1) >= len(slots):
+        message = f"uncovered node ids: {len(slots)} slots cannot cover 0..{max(slots)}"
+        violations.append(Violation(CoverageViolation, message))
     return violations
 
 

@@ -3,7 +3,8 @@
 The oracle enumerates *every* gluable plan up to a block budget over abstract
 nodes (numbered in first-use order), glues each one, and files the resulting
 diagram under its canonical key together with the plan mapped into canonical
-coordinates.  Looking a diagram up closes the stored plans under the
+coordinates, as a sorted tuple of canonical instances.  The index lives in
+memory only.  Looking a diagram up closes the stored plans under the
 diagram's automorphisms, because one abstract plan can stand for several
 concrete placements on a symmetric diagram.
 
@@ -13,8 +14,6 @@ against ground truth that was produced without any of its pruning logic.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 from random import Random
 
@@ -32,16 +31,9 @@ from .gluing import (
     Plan,
     canonical_instance,
     glue,
-    parse_plan_key,
-    plan_key,
 )
 
-
-class OracleError(ValueError):
-    """An oracle index file is malformed or mismatched."""
-
-
-_HEADER = "blockdec-oracle-index v1"
+PlanTuple = tuple[BlockInstance, ...]
 
 
 def enumerate_plans(
@@ -51,7 +43,7 @@ def enumerate_plans(
     max_nodes: int,
 ):
     """Yield every gluable plan with at most ``max_blocks`` instances on at
-    most ``max_nodes`` abstract nodes, each exactly once (by plan key).
+    most ``max_nodes`` abstract nodes, each exactly once (by canonical instances).
 
     Nodes are numbered in first-use order.  Any occupancy-legal placement
     glues, so enumeration only reads slot usage from its gluing state: a
@@ -114,93 +106,38 @@ def enumerate_plans(
     yield from dfs((), 0)
 
 
+def _mapped(data: BlockData, instances: PlanTuple, mapping: tuple[int, ...]) -> PlanTuple:
+    """``instances`` with every node v moved to ``mapping[v]``, each instance
+    canonical, sorted: the form the decomposer's plans take."""
+    return tuple(sorted(
+        canonical_instance(data, BlockInstance(i.tag, tuple(mapping[v] for v in i.nodes)))
+        for i in instances
+    ))
+
+
 @dataclass(frozen=True)
 class OracleIndex:
-    """Canonical diagram key -> plan keys in canonical coordinates."""
+    """Canonical diagram key -> plans in canonical coordinates, each a sorted
+    tuple of canonical instances."""
 
     mode: str
     max_blocks: int
     max_nodes: int
-    entries: dict[str, frozenset[str]]
+    entries: dict[str, frozenset[PlanTuple]]
 
     def closed_plans(
         self, diagram: Diagram, data: BlockData | None = None
-    ) -> frozenset[str]:
-        """All decomposition plan keys of ``diagram`` in its canonical
-        coordinates, closed under the diagram's automorphisms."""
+    ) -> frozenset[PlanTuple]:
+        """All decompositions of ``diagram`` in its canonical coordinates,
+        closed under the diagram's automorphisms."""
         key, relabel = canonical_form(diagram)
         stored = self.entries.get(key, frozenset())
         if not stored:
             return frozenset()
-        canonical = relabel_diagram(diagram, relabel)
-        auts = automorphisms(canonical)
+        auts = automorphisms(relabel_diagram(diagram, relabel))
         if data is None:
             data = load_block_data()
-        closed = set()
-        for pkey in stored:
-            plan = parse_plan_key(pkey)
-            for aut in auts:
-                mapped = Plan(
-                    plan.mode,
-                    tuple(
-                        BlockInstance(i.tag, tuple(aut[v] for v in i.nodes))
-                        for i in plan.instances
-                    ),
-                )
-                closed.add(plan_key(data, mapped))
-        return frozenset(closed)
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
-
-    def dumps(self) -> str:
-        out = io.StringIO()
-        out.write(
-            f"# {_HEADER} mode={self.mode} "
-            f"max_blocks={self.max_blocks} max_nodes={self.max_nodes}\n"
-        )
-        lines = sorted(
-            f"{dkey} {pkey}" for dkey, pkeys in self.entries.items() for pkey in pkeys
-        )
-        out.write("\n".join(lines))
-        if lines:
-            out.write("\n")
-        return out.getvalue()
-
-
-def loads_index(text: str) -> OracleIndex:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {_HEADER}"):
-        raise OracleError("not an oracle index file")
-    params = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
-    )
-    try:
-        mode = params["mode"]
-        max_blocks = int(params["max_blocks"])
-        max_nodes = int(params["max_nodes"])
-    except (KeyError, ValueError):
-        raise OracleError("oracle index header is missing parameters") from None
-    entries: dict[str, set[str]] = {}
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            dkey, pkey = line.split(" ")
-        except ValueError:
-            raise OracleError(f"malformed index line {line!r}") from None
-        entries.setdefault(dkey, set()).add(pkey)
-    return OracleIndex(
-        mode, max_blocks, max_nodes,
-        {k: frozenset(v) for k, v in entries.items()},
-    )
-
-
-def load_index(path: str | os.PathLike) -> OracleIndex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_index(fh.read())
+        return frozenset(_mapped(data, plan, aut) for plan in stored for aut in auts)
 
 
 def build_index(
@@ -218,18 +155,10 @@ def build_index(
         data = load_block_data()
     if max_nodes is None:
         max_nodes = 5 * max_blocks
-    entries: dict[str, set[str]] = {}
+    entries: dict[str, set[PlanTuple]] = {}
     for plan in enumerate_plans(data, mode, max_blocks, max_nodes):
-        result = glue(data, plan)
-        dkey, relabel = canonical_form(result.diagram)
-        mapped = Plan(
-            plan.mode,
-            tuple(
-                BlockInstance(i.tag, tuple(relabel[v] for v in i.nodes))
-                for i in plan.instances
-            ),
-        )
-        entries.setdefault(dkey, set()).add(plan_key(data, mapped))
+        dkey, relabel = canonical_form(glue(data, plan).diagram)
+        entries.setdefault(dkey, set()).add(_mapped(data, plan.instances, relabel))
     return OracleIndex(
         mode, max_blocks, max_nodes,
         {k: frozenset(v) for k, v in entries.items()},

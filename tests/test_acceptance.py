@@ -29,6 +29,7 @@ from blockdec.diagram import (
 from blockdec.gluing import (
     BlockInstance,
     Plan,
+    canonical_plan,
     glue,
     parse_plan,
     plan_key,
@@ -143,7 +144,7 @@ def test_criterion_3_oracle_equivalence():
                     for i in p.instances
                 ),
             )
-            found.add(plan_key(DATA, mapped))
+            found.add(canonical_plan(DATA, mapped).instances)
         assert found == expected, f"mismatch on {diagram}"
         if found:
             decomposable += 1

@@ -1,11 +1,14 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import blockdec
 from blockdec.cli import main
 
 TRIANGLE = "nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 2 0 1\n"
@@ -17,6 +20,10 @@ def triangle_file(tmp_path):
     path = tmp_path / "triangle.txt"
     path.write_text(TRIANGLE)
     return str(path)
+
+
+# Child interpreters import the package from where this one did.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(blockdec.__file__).parents[1])}
 
 
 def run(capsys, *argv):
@@ -223,6 +230,15 @@ def test_glue_rule_violation_is_negative(capsys, tmp_path):
     assert "rule 1" in err
 
 
+def test_glue_of_huge_node_id_is_negative_in_a_short_message(capsys, tmp_path):
+    path = tmp_path / "plan.txt"
+    path.write_text("mode quiver\nblock Spike 0 1000000\n")  # 2 slots, ids 0..10**6
+    code, _, err = run(capsys, "glue", str(path))
+    assert code == 1
+    assert "plan violates rule 1" in err
+    assert len(err) < 200
+
+
 def test_glue_bad_plan_is_input_error(capsys, tmp_path):
     path = tmp_path / "plan.txt"
     path.write_text("mode quiver\nblock Wedge 0 1\n")
@@ -325,6 +341,27 @@ def test_sweep_quiver_2_empty(capsys):
     assert payload["classes"] == []
 
 
+def test_search_deeper_than_recursion_limit_is_internal_error(tmp_path):
+    """A 120-node path under a recursion limit of 100: exit 3 and one error
+    line, not a traceback."""
+    path = tmp_path / "path.txt"
+    path.write_text("nodes 120\n" + "".join(f"edge {i} {i + 1} 1\n" for i in range(119)))
+    script = (
+        "import sys\n"
+        "from blockdec.cli import main\n"
+        "sys.setrecursionlimit(100)\n"
+        f"sys.exit(main(['decompose', {str(path)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=CHILD_ENV
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: the search is too deep for this diagram (recursion limit)"]
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # packaging
 # ---------------------------------------------------------------------------
@@ -336,6 +373,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "classes 0" in proc.stdout

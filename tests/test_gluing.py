@@ -1,6 +1,7 @@
 """Tests for plan gluing: rules 1-4, the gluing state, plan keys, and the
 text format."""
 
+import tracemalloc
 from random import Random
 
 import pytest
@@ -145,6 +146,23 @@ class TestRuleViolations:
     def test_gap_in_coverage(self, data):
         with pytest.raises(CoverageViolation):
             glue(data, qplan(("Spike", (0, 2))))
+
+    def test_huge_node_id_is_reported_in_plan_sized_space(self, data):
+        """Two slots cannot cover ids 0..10**6: one short coverage violation,
+        found before any per-node state is allocated."""
+        plan = qplan(("Spike", (0, 1_000_000)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CoverageViolation) as info:
+                glue(data, plan)
+            violations = validate_plan(data, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(str(info.value)) < 100
+        assert [v.error for v in violations] == [CoverageViolation]
+        assert len(violations[0].message) < 100
+        assert peak < 1_000_000
 
     def test_empty_plan(self, data):
         with pytest.raises(CoverageViolation):

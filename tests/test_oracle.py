@@ -1,4 +1,4 @@
-"""Tests for the brute-force oracle: enumeration, index files, closure."""
+"""Tests for the brute-force oracle: enumeration, index, closure."""
 
 from random import Random
 
@@ -13,12 +13,10 @@ from blockdec.diagram import (
     from_canonical_key,
     make_diagram,
 )
-from blockdec.gluing import glue, plan_key
+from blockdec.gluing import canonical_plan, glue, plan_key
 from blockdec.oracle import (
-    OracleError,
     build_index,
     enumerate_plans,
-    loads_index,
     random_plan,
     sweep_nonunique,
 )
@@ -85,7 +83,7 @@ class TestIndex:
         diagram = make_diagram(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
         closed = index.closed_plans(diagram, data)
         mine = {
-            plan_key(data, p)
+            canonical_plan(data, p).instances
             for p in enumerate_decompositions(diagram, data).plans
         }
         assert closed == mine
@@ -105,28 +103,8 @@ class TestIndex:
     def test_monotone_in_block_budget(self, data):
         small = build_index(2, QUIVER, data, max_nodes=4)
         large = build_index(3, QUIVER, data, max_nodes=4)
-        for dkey, pkeys in small.entries.items():
-            assert pkeys <= large.entries[dkey]
-
-    def test_save_load_round_trip(self, data, quiver_index_2, tmp_path):
-        path = tmp_path / "oracle.idx"
-        quiver_index_2.save(path)
-        loaded = loads_index(path.read_text())
-        assert loaded == quiver_index_2
-
-    def test_dump_is_sorted_and_parametrised(self, quiver_index_2):
-        text = quiver_index_2.dumps()
-        lines = text.splitlines()
-        assert "mode=quiver" in lines[0]
-        assert "max_blocks=2" in lines[0]
-        body = lines[1:]
-        assert body == sorted(body)
-
-    def test_load_rejects_garbage(self):
-        with pytest.raises(OracleError):
-            loads_index("not an index\n")
-        with pytest.raises(OracleError):
-            loads_index("# blockdec-oracle-index v1 mode=quiver\n")
+        for dkey, plans in small.entries.items():
+            assert plans <= large.entries[dkey]
 
 
 class TestDifferential:
@@ -142,7 +120,7 @@ class TestDifferential:
             diagram = from_canonical_key(dkey)
             disconnected += not diagram.is_connected()
             found = {
-                plan_key(data, p)
+                canonical_plan(data, p).instances
                 for p in enumerate_decompositions(diagram, data).plans
             }
             assert found == index.closed_plans(diagram, data), dkey
