@@ -87,9 +87,13 @@ class BlockTemplate:
     """A block: labelled coloured nodes, weighted edges, and its piece.
 
     ``index_edges`` and ``placement_orders`` are integer tables compiled once
-    by :func:`parse_block_data`: the edges on label positions, and for each
-    start position the steps of a breadth-first placement from it.  A step is
-    a position and the index edges joining it to the positions before it.
+    by :func:`parse_block_data`: the edges on label positions, and the steps
+    of a breadth-first placement from one start position per orbit of
+    ``automorphisms``.  A step is a position and the index edges joining it
+    to the positions before it: those with a black end first, then by how
+    early their other end was placed.  The decomposer draws the position's
+    candidates from the target neighbourhood of the first joining edge's
+    other end.
     """
 
     tag: str
@@ -192,8 +196,12 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
     for f, t, _ in edges:
         adjacency[f].append(t)
         adjacency[t].append(f)
+    # One start per orbit of the automorphism group, its least position: a
+    # placement anchored at any other position of the orbit is the same
+    # instance up to an automorphism.
+    starts = sorted({min(p[i] for p in template.automorphisms) for i in range(template.size)})
     orders = []
-    for start in range(template.size):
+    for start in starts:
         order, seen = [start], {start}
         for pos in order:  # grows while it is walked: a breadth-first queue
             for nxt in sorted(adjacency[pos]):
@@ -202,13 +210,19 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
                     order.append(nxt)
         # Block data is not required to be connected; stay total.
         order.extend(p for p in range(template.size) if p not in seen)
-        steps, placed = [], set()
+        steps, rank = [], {}
         for pos in order:
-            placed.add(pos)
-            joins = tuple(
-                (f, t, w) for f, t, w in edges if pos in (f, t) and {f, t} <= placed
+            rank[pos] = len(rank)
+            joins = sorted(
+                (
+                    BLACK not in (template.colors[f], template.colors[t]),
+                    rank[t if f == pos else f],
+                    (f, t, w),
+                )
+                for f, t, w in edges
+                if pos in (f, t) and {f, t} <= rank.keys()
             )
-            steps.append((pos, joins))
+            steps.append((pos, tuple(edge for _, _, edge in joins)))
         orders.append(tuple(steps))
     return replace(template, index_edges=edges, placement_orders=tuple(orders))
 

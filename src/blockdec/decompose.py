@@ -10,14 +10,31 @@ that glues exactly to the target.  The search is a backtracking enumeration:
 * A pair *freezes* as soon as either endpoint can accept no further block:
   no future instance can contribute an arrow there, so a frozen pair whose
   net does not realise the target edge kills the branch.
-* Branching happens at a single *pivot* node per state -- the lowest open node
-  touching an unsettled pair, else the lowest uncovered node.  Every valid
-  completion must place a block on the pivot, so branching over all placements
-  there is exhaustive; a visited set of partial plans, each a sorted tuple of
-  interned canonical instances, removes the reorderings of one multiset.
+* The search keeps the set of *unsettled* pairs, whose net the target does
+  not allow, and a count of them per node.  A push or pop updates only the
+  pairs the block's edges touch.  A placement that would close a node with
+  an unsettled pair is a dead end: a closed node takes no further block, so
+  its pairs never change again.  Only the block's own nodes can close, and
+  the block's pairs at a closing node freeze and must settle, so comparing
+  the counts with those pairs decides this exactly, before any push.
+* Branching happens at a single *pivot* node per state -- the lowest node of
+  an unsettled pair, else the lowest uncovered node.  Every valid completion
+  must place a block on the pivot, so branching over all placements there is
+  exhaustive; a visited set of live partial plans, each a sorted tuple of
+  interned instances, removes the reorderings of one multiset.
+* A placement puts one label per automorphism orbit of its template on the
+  pivot and places the other labels breadth first.  Each joins a placed
+  node by a template edge.  In the modes of ``BlockData.split_modes`` the
+  corollary below bounds its candidates: that node's target neighbours if
+  an end of the edge is black, else its distance-2 ball, or every isolated
+  node if it is isolated.  In other modes every node is a candidate.  So a
+  state costs time in the size of a block, not of the diagram.
 * A state with every node covered and every pair realised is emitted -- and
   never extended: any strict superset would need two extra slots per touched
   node, which coverage has already spent.
+* The tree is walked in pre-order with children in sorted order, on an
+  explicit stack, so the depth of a plan is not bounded by the interpreter's
+  recursion limit.
 
 Plans are reported in canonical form, deduplicated modulo template
 automorphisms, sorted by their plan key.
@@ -47,23 +64,36 @@ part.  So a plan of the whole, cut along the parts, gives one plan of each
 part; and plans of the parts share no node and put no arrow between parts,
 so their union glues to the whole.
 
+Corollary.  Under (1) and (2), each template edge of an instance I in a plan
+that glues to a diagram joins two nodes a and b that are both isolated or at
+distance at most 2 in the diagram, and at distance 1 if a or b is black in I.
+
+Proof.  In the proof above, a nonzero net on {a, b} puts the edge a - b in
+the diagram, and a net that cancels leaves a and b both isolated or both
+joined to one node.  A node black in I lies in no other instance, so then
+the net on {a, b} is I's own arrow, which is not zero.
+
 Connectivity alone is not enough: a white path 0 -> 1 -> 2 and a white arrow
 1 -> 0 glue to the single edge 1 -> 2 plus the isolated node 0.
 :func:`blockdec.blocks.parse_block_data` checks (1) and (2) per mode by
 trying every way two templates can cancel an arrow, and records the modes
 that pass in ``BlockData.split_modes``; in any other mode the whole diagram
 is searched as one part.  The bundled block data passes in both modes, and
-``tests/test_decompose.py`` also checks the lemma on every plan the oracle
-enumerates within small budgets.  Parts are searched smallest first, so a
-diagram without a decomposition is usually rejected early.
+``tests/test_decompose.py`` also checks the lemma and the corollary on every
+plan the oracle enumerates within small budgets.  Components are searched
+smallest first and the isolated nodes last, so a diagram without a
+decomposition is usually rejected early: the isolated part has a plan
+whenever it has two nodes or more, and often many.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
-from .blocks import BLACK, WHITE, BlockData, BlockTemplate, load_block_data
+from .blocks import BLACK, BlockData, BlockTemplate, load_block_data
 from .diagram import Diagram, make_diagram
 from .gluing import (
     BlockInstance, GlueState, Plan, canonical_instance, net_with_arrow, plan_key, target_nets,
@@ -80,11 +110,18 @@ _NO_EDGE = frozenset({(0, 0)})
 
 
 class _Search:
+    """The search of one part; :meth:`run` fills ``found`` with its plans."""
+
     def __init__(self, diagram: Diagram, data: BlockData, limit: int):
         self.data = data
         self.limit = limit
-        self.n = diagram.node_count
+        self.n = n = diagram.node_count
         self.templates = [data.template(tag) for tag in data.tags_for_mode(diagram.mode)]
+        # Per template label, the number of template edges at it.
+        self.degrees = {
+            t.tag: [sum(pos in (f, h) for f, h, _ in t.index_edges) for pos in range(t.size)]
+            for t in self.templates
+        }
         # The nets one template arrow can add to a pair, in either direction.
         steps = {
             net_with_arrow({}, a, b, w)[1]
@@ -102,37 +139,79 @@ class _Search:
         self.final = target_nets(diagram)
         self.open = {pair: reachable(nets) for pair, nets in self.final.items()}
         self.open_no_edge = reachable(_NO_EDGE)
-        self.state = GlueState(data, self.n)
-        self.interned: dict[BlockInstance, BlockInstance] = {}
-        self.visited: set[tuple[BlockInstance, ...]] = set()
+        self.state = GlueState(data, n)
+
+        # The pairs whose net the target does not allow, how many of them
+        # touch each node, and how many nodes no block covers yet.
+        self.unsettled = set(self.final)
+        self.unsettled_at = [0] * n
+        for a, b in self.final:
+            self.unsettled_at[a] += 1
+            self.unsettled_at[b] += 1
+        self.uncovered = n
+
+        # Where the corollary holds, per node: its target neighbours, and its
+        # distance-2 ball, built on first use (every isolated node for an
+        # isolated one).  Elsewhere every node is a candidate.
+        self.neighbours: list[tuple[int, ...]] | None = None
+        if diagram.mode in data.split_modes:
+            near: list[set[int]] = [set() for _ in range(n)]
+            for e in diagram.edges:
+                near[e.src].add(e.dst)
+                near[e.dst].add(e.src)
+            self.neighbours = [tuple(sorted(s)) for s in near]
+            self.lonely = tuple(v for v in range(n) if not near[v])
+            self.balls: list[tuple[int, ...] | None] = [None] * n
+
+        # Instances are interned to ids; a partial plan is the sorted tuple of
+        # its instances' ids.
+        self.ids: dict[BlockInstance, int] = {}
+        self.instances: list[BlockInstance] = []
+        self.visited: set[tuple[int, ...]] = set()
         self.found: set[tuple[BlockInstance, ...]] = set()
         self.truncated = False
 
     # -- extension generation ---------------------------------------------------
 
-    def _extensions(self, pivot: int) -> list[BlockInstance]:
-        """All canonical single-block placements covering the pivot node."""
+    def _extensions(self, pivot: int) -> list[tuple[BlockInstance, int]]:
+        """All canonical single-block placements covering the pivot node that
+        strand no unsettled pair, sorted, each with its id.
+
+        A label that closes its node must settle every unsettled pair there,
+        so it needs at least as many template edges; labels that fail this
+        are cut at once, and :meth:`_strands` makes the test exact once the
+        block is placed.
+        """
         state = self.state
+        covers, unsettled_at = state.covers, self.unsettled_at
         out: set[BlockInstance] = set()
         for template in self.templates:
-            for start, steps in enumerate(template.placement_orders):
-                if not state.accepts(pivot, template.colors[start]):
+            degrees = self.degrees[template.tag]
+
+            def too_few_edges(node: int, pos: int) -> bool:
+                closes = covers[node] or template.colors[pos] == BLACK
+                return closes and unsettled_at[node] > degrees[pos]
+
+            for steps in template.placement_orders:
+                start = steps[0][0]
+                if not state.accepts(pivot, template.colors[start]) or too_few_edges(pivot, start):
                     continue
                 placement: dict[int, int] = {start: pivot}
 
                 def assign(depth: int) -> None:
                     if depth == len(steps):
                         nodes = tuple(placement[i] for i in range(template.size))
-                        inst = canonical_instance(
-                            self.data, BlockInstance(template.tag, nodes)
-                        )
-                        out.add(self.interned.setdefault(inst, inst))
+                        if not self._strands(template, nodes):
+                            inst = BlockInstance(template.tag, nodes)
+                            out.add(canonical_instance(self.data, inst))
                         return
                     pos, edges = steps[depth]
                     color = template.colors[pos]
                     used = set(placement.values())
-                    for node in range(self.n):
+                    for node in self._candidates(template, placement, pos, edges):
                         if node in used or not state.accepts(node, color):
+                            continue
+                        if too_few_edges(node, pos):
                             continue
                         placement[pos] = node
                         if self._placement_ok(template, placement, edges):
@@ -140,7 +219,41 @@ class _Search:
                         del placement[pos]
 
                 assign(1)
-        return sorted(out)
+        return [(inst, self._id(inst)) for inst in sorted(out)]
+
+    def _id(self, inst: BlockInstance) -> int:
+        i = self.ids.setdefault(inst, len(self.instances))
+        if i == len(self.instances):
+            self.instances.append(inst)
+        return i
+
+    def _candidates(
+        self,
+        template: BlockTemplate,
+        placement: dict[int, int],
+        pos: int,
+        edges: tuple[tuple[int, int, int], ...],
+    ) -> Sequence[int]:
+        """The nodes that may take ``pos``, given the joining ``edges``, in
+        ascending order.
+
+        By the corollary, the first joining edge (compiled to have a black end
+        if any has) puts ``pos`` next to the node at its other end if an end is
+        black, and within that node's distance-2 ball otherwise.
+        """
+        if self.neighbours is None or not edges:
+            return range(self.n)
+        f, t, _ = edges[0]
+        anchor = placement[t if f == pos else f]
+        if BLACK in (template.colors[f], template.colors[t]):
+            return self.neighbours[anchor]
+        ball = self.balls[anchor]
+        if ball is None:
+            near = self.neighbours
+            ring = set(near[anchor]).union(*(near[u] for u in near[anchor]))
+            ring.discard(anchor)
+            ball = self.balls[anchor] = tuple(sorted(ring)) if ring else self.lonely
+        return ball
 
     def _placement_ok(
         self,
@@ -168,52 +281,114 @@ class _Search:
                 return False
         return True
 
+    def _strands(self, template: BlockTemplate, nodes: tuple[int, ...]) -> bool:
+        """Would the placement close a node that keeps an unsettled pair?
+
+        A closed node takes no further block, so its pairs never change again:
+        the branch would be dead.  Only the block's own nodes can close, and
+        :meth:`_placement_ok` has let every pair of the block with a closing
+        end settle, so a closing node keeps exactly its unsettled pairs that
+        the block does not touch.
+        """
+        covers, count, unsettled = self.state.covers, self.unsettled_at, self.unsettled
+        left = {
+            v: count[v]
+            for v, color in zip(nodes, template.colors)
+            if count[v] and (covers[v] or color == BLACK)
+        }
+        if not left:
+            return False
+        for f, t, _ in template.index_edges:
+            a, b = nodes[f], nodes[t]
+            if ((a, b) if a < b else (b, a)) in unsettled:
+                for v in (a, b):
+                    if v in left:
+                        left[v] -= 1
+        return any(left.values())
+
+    # -- search state -----------------------------------------------------------
+
+    def _push(self, inst: BlockInstance) -> None:
+        self.state.push(inst)
+        self._resettle(inst)
+        self.uncovered -= sum(self.state.covers[v] == 1 for v in inst.nodes)
+
+    def _pop(self) -> None:
+        inst = self.state.pop()
+        self._resettle(inst)
+        self.uncovered += sum(self.state.covers[v] == 0 for v in inst.nodes)
+
+    def _resettle(self, inst: BlockInstance) -> None:
+        """Update ``unsettled`` on the pairs that the edges of ``inst``, just
+        pushed or popped, touch."""
+        nets, final, unsettled, count = self.state.nets, self.final, self.unsettled, self.unsettled_at
+        nodes = inst.nodes
+        for f, t, _ in self.data.template(inst.tag).index_edges:
+            a, b = nodes[f], nodes[t]
+            pair = (a, b) if a < b else (b, a)
+            settled = nets.get(pair, (0, 0)) in final.get(pair, _NO_EDGE)
+            if settled != (pair in unsettled):
+                continue
+            if settled:
+                unsettled.remove(pair)
+                count[a] -= 1
+                count[b] -= 1
+            else:
+                unsettled.add(pair)
+                count[a] += 1
+                count[b] += 1
+
+    def _pivot(self) -> int:
+        """The lowest endpoint of an unsettled pair, else the lowest uncovered
+        node."""
+        return min(self.unsettled)[0] if self.unsettled else self.state.covers.index(0)
+
     # -- search -----------------------------------------------------------------
 
-    def _dfs(self, plan: tuple[BlockInstance, ...]) -> None:
-        """Search below the plan on ``self.state``: its instances, sorted."""
-        if self.truncated or plan in self.visited:
-            return
-        self.visited.add(plan)
-        state = self.state
-        unsettled = [
-            pair
-            for pair in set(self.final) | set(state.nets)
-            if state.nets.get(pair, (0, 0)) not in self.final.get(pair, _NO_EDGE)
-        ]
-
-        # Dead end: an unsettled pair with a closed endpoint is frozen.
-        if any(not state.accepts(node, WHITE) for pair in unsettled for node in pair):
-            return
-
-        if plan and not unsettled and all(state.covers):
-            self.found.add(plan)
-            if len(self.found) > self.limit:
-                self.truncated = True
-            return
-
-        # The pivot: the lowest endpoint of an unsettled pair (every one is
-        # open or uncovered by now), else the lowest uncovered node.
-        pivot = min(unsettled)[0] if unsettled else state.covers.index(0)
-        for inst in self._extensions(pivot):
-            state.push(inst)
-            self._dfs(tuple(sorted(plan + (inst,))))
-            state.pop()
+    def run(self) -> None:
+        """Walk the search tree in pre-order, children in sorted order, on an
+        explicit stack of (plan, remaining children) frames; the state holds
+        the instances of the top frame's plan."""
+        stack = [((), iter(self._extensions(self._pivot())))]
+        while stack:
+            plan, children = stack[-1]
+            for inst, i in children:
+                at = bisect_left(plan, i)
+                child = plan[:at] + (i,) + plan[at:]
+                if child in self.visited:
+                    continue
+                self._push(inst)
+                self.visited.add(child)
+                if self.unsettled or self.uncovered:
+                    stack.append((child, iter(self._extensions(self._pivot()))))
+                    break
+                # Complete: emitted, and never extended.
+                self.found.add(tuple(sorted(self.instances[j] for j in child)))
+                self._pop()
+                if len(self.found) > self.limit:
+                    self.truncated = True
+                    return
+            else:
+                stack.pop()
+                if stack:
+                    self._pop()
 
 
 def _parts(diagram: Diagram, data: BlockData) -> list[tuple[int, ...]]:
-    """The node sets searched on their own, smallest first: each connected
-    component with edges, and all isolated nodes together.  Where the block
-    data does not meet the part lemma's conditions, the whole diagram is the
-    only part."""
+    """The node sets searched on their own, in search order: each connected
+    component with edges, smallest first, then all isolated nodes together.
+    The isolated part comes last: it has a plan whenever it has two nodes or
+    more, and often many, so a component without one ends the search
+    before they are enumerated.  Where the block data does not meet the part
+    lemma's conditions, the whole diagram is the only part."""
     if diagram.mode not in data.split_modes:
         return [tuple(range(diagram.node_count))] if diagram.node_count else []
     components = diagram.components()
-    parts = [c for c in components if len(c) > 1]
+    parts = sorted((c for c in components if len(c) > 1), key=lambda part: (len(part), part))
     isolated = tuple(c[0] for c in components if len(c) == 1)
     if isolated:
         parts.append(isolated)
-    return sorted(parts, key=lambda part: (len(part), part))
+    return parts
 
 
 def _part_plans(
@@ -237,7 +412,7 @@ def _part_plans(
         ]
         part = make_diagram(len(nodes), edges, diagram.mode)
     search = _Search(part, data, limit)
-    search._dfs(())
+    search.run()
     plans = sorted(search.found)
     if part is not diagram:
         plans = [
@@ -257,9 +432,10 @@ def enumerate_decompositions(
     """All inequivalent decompositions of ``diagram``, sorted by plan key.
 
     Each part of the diagram (a connected component with edges, or the set of
-    all isolated nodes) is searched on its own, smallest first, and the plans
-    of the whole are the Cartesian product of the parts' plans.  If a part
-    has no plan, neither has the diagram, and the result is empty and not
+    all isolated nodes) is searched on its own: the components smallest
+    first, then the isolated nodes.  The plans of the whole are the Cartesian
+    product of the parts' plans.  If a part has no plan, neither has the
+    diagram, the search stops there, and the result is empty and not
     truncated.  The result is truncated and flagged when a part's search
     stops at ``limit`` or the product has more than ``limit`` plans; it then
     holds ``limit`` valid plans, sorted by plan key, and which ones is
@@ -268,19 +444,22 @@ def enumerate_decompositions(
     """
     if data is None:
         data = load_block_data()
-    lists = []
+    part_plans = {}
     truncated = False
     for nodes in _parts(diagram, data):
         plans, part_truncated = _part_plans(diagram, nodes, data, limit)
         if not plans:
             return DecomposeResult((), False)
-        lists.append(plans)
+        part_plans[nodes] = plans
         truncated = truncated or part_truncated
-    if not lists:
+    if not part_plans:
         return DecomposeResult((), False)
 
-    # At most limit + 1 combinations are built: a truncated part holds
+    # The product runs over the parts smallest first, the isolated part in
+    # its place by size, which fixes which combinations a truncated result
+    # holds.  At most limit + 1 of them are built: a truncated part holds
     # limit + 1 plans, so a lone part is cut exactly as a whole search is.
+    lists = [part_plans[nodes] for nodes in sorted(part_plans, key=lambda p: (len(p), p))]
     choices = islice(product(*lists), limit + 1)
     plans = sorted(
         (Plan(diagram.mode, tuple(sorted(chain.from_iterable(choice)))) for choice in choices),

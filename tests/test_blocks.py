@@ -84,6 +84,18 @@ class TestTemplates:
             "Ia": 1, "Ib": 1, "II": 1, "IIIa": 2, "IIIb": 2, "IV": 1, "V": 4,
         }
 
+    def test_placements_start_once_per_orbit(self, data):
+        """The compiled placement orders start at one label of each orbit of
+        the automorphism group."""
+        for tag in ALL_TAGS:
+            t = data.template(tag)
+            starts = [steps[0][0] for steps in t.placement_orders]
+            orbits = {frozenset(p[i] for p in t.automorphisms) for i in range(t.size)}
+            assert len(starts) == len(orbits), tag
+            assert all(len(orbit.intersection(starts)) == 1 for orbit in orbits), tag
+        assert len(data.template("Triangle").placement_orders) == 1
+        assert len(data.template("Square").placement_orders) == 3
+
     def test_identity_is_always_an_automorphism(self, data):
         for tag in ALL_TAGS:
             t = data.template(tag)

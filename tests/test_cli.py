@@ -341,9 +341,9 @@ def test_sweep_quiver_2_empty(capsys):
     assert payload["classes"] == []
 
 
-def test_search_deeper_than_recursion_limit_is_internal_error(tmp_path):
-    """A 120-node path under a recursion limit of 100: exit 3 and one error
-    line, not a traceback."""
+def test_search_deeper_than_recursion_limit_decomposes(tmp_path):
+    """A 120-node path under a recursion limit of 100: the search keeps its
+    own stack, so the one plan is found."""
     path = tmp_path / "path.txt"
     path.write_text("nodes 120\n" + "".join(f"edge {i} {i + 1} 1\n" for i in range(119)))
     script = (
@@ -355,10 +355,9 @@ def test_search_deeper_than_recursion_limit_is_internal_error(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=CHILD_ENV
     )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ["error: the search is too deep for this diagram (recursion limit)"]
+    assert proc.returncode == 0, proc.stderr
+    assert "count 1" in proc.stdout.splitlines()
+    assert sum(line.startswith("plan ") for line in proc.stdout.splitlines()) == 1
     assert "Traceback" not in proc.stderr
 
 

@@ -1,12 +1,15 @@
 """Tests for the decomposition search against hand-verified plan sets."""
 
+import sys
+import time
 from importlib import resources
 from math import prod
 from random import Random
 
 import pytest
 
-from blockdec.blocks import load_block_data, parse_block_data
+from blockdec import decompose
+from blockdec.blocks import BLACK, load_block_data, parse_block_data
 from blockdec.catalog import catalog_entry
 from blockdec.decompose import enumerate_decompositions, is_decomposable
 from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, relabel_diagram
@@ -335,6 +338,82 @@ class TestDisjointUnions:
         assert not is_decomposable(target, data)
 
 
+    def test_isolated_part_is_searched_last(self, data, monkeypatch):
+        """A component without a plan ends the search before the isolated
+        nodes, which have many plans, are enumerated."""
+        # A 25-node path with five more leaves on node 0, then ten isolated
+        # nodes: node 0 has six arrows out, more than two blocks can give it.
+        edges = [(i, i + 1, 1) for i in range(24)] + [(0, 25 + j, 1) for j in range(5)]
+        target = make_diagram(40, edges)
+        searched = []
+        part_plans = decompose._part_plans
+
+        def spy(diagram, nodes, data, limit):
+            searched.append(nodes)
+            return part_plans(diagram, nodes, data, limit)
+
+        monkeypatch.setattr(decompose, "_part_plans", spy)
+        result = enumerate_decompositions(target, data)
+        assert result.plans == () and not result.truncated
+        assert not is_decomposable(target, data)
+        assert searched == [tuple(range(30))] * 2
+
+    def test_truncated_product_takes_the_parts_smallest_first(self, data):
+        """The isolated part is searched last but keeps its place by size in
+        the product, which fixes the plans a truncated result holds."""
+        # A two-in two-out star (3 plans) and four isolated nodes (3 plans).
+        target = make_diagram(9, [(0, 1, 1), (0, 2, 1), (3, 0, 1), (4, 0, 1)])
+        result = enumerate_decompositions(target, data, limit=2)
+        assert result.truncated
+        assert [plan_key(data, p) for p in result.plans] == [
+            "quiver|Infork:0,3,4;Outfork:0,1,2;Spike:5,6;Spike:6,5;Spike:7,8;Spike:8,7",
+            "quiver|Spike:1,3;Spike:2,4;Spike:5,6;Spike:6,5;Spike:7,8;Spike:8,7;"
+            "Triangle:0,1,3;Triangle:0,2,4",
+        ]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def triangle_chain(triangles):
+    """Oriented triangles in a row, each sharing its last node with the next."""
+    edges = [
+        e
+        for j in range(triangles)
+        for e in ((2 * j, 2 * j + 1, 1), (2 * j + 1, 2 * j + 2, 1), (2 * j + 2, 2 * j, 1))
+    ]
+    return make_diagram(2 * triangles + 1, edges)
+
+
+class TestScale:
+    @pytest.mark.parametrize(
+        "target",
+        [make_diagram(1000, [(i, i + 1, 1) for i in range(999)]), triangle_chain(500)],
+        ids=["path-1000", "triangle-chain-1001"],
+    )
+    def test_plan_of_a_thousand_blocks(self, data, target, default_recursion_limit):
+        """One plan of about a thousand blocks, found in under a second at the
+        default recursion limit."""
+        start = time.perf_counter()
+        result = enumerate_decompositions(target, data)
+        assert time.perf_counter() - start < 1.0
+        assert len(result.plans) == 1 and not result.truncated
+        assert glue(data, result.plans[0]).diagram == target
+
+
+def neighbours(diagram):
+    near = [set() for _ in range(diagram.node_count)]
+    for e in diagram.edges:
+        near[e.src].add(e.dst)
+        near[e.dst].add(e.src)
+    return near
+
+
 class TestPartLemma:
     @pytest.mark.parametrize(
         "mode, max_blocks, max_nodes", [(QUIVER, 4, 7), (S_DIAGRAM, 4, 6)]
@@ -347,6 +426,29 @@ class TestPartLemma:
             part = parts_of(glue(data, plan).diagram)
             for inst in plan.instances:
                 assert len({part[v] for v in inst.nodes}) == 1, plan_key(data, plan)
+            plans += 1
+        assert plans > 1000
+
+    @pytest.mark.parametrize(
+        "mode, max_blocks, max_nodes", [(QUIVER, 4, 7), (S_DIAGRAM, 4, 6)]
+    )
+    def test_template_edges_stay_within_distance_two(self, data, mode, max_blocks, max_nodes):
+        """The corollary the search draws its candidates from, on every oracle
+        plan within the budget: each template edge of an instance joins two
+        isolated nodes or two nodes at target distance at most 2, and at
+        distance 1 when an end is black."""
+        plans = 0
+        for plan in enumerate_plans(data, mode, max_blocks, max_nodes):
+            near = neighbours(glue(data, plan).diagram)
+            for inst in plan.instances:
+                template = data.template(inst.tag)
+                for f, t, _ in template.index_edges:
+                    a, b = inst.nodes[f], inst.nodes[t]
+                    if BLACK in (template.colors[f], template.colors[t]):
+                        assert b in near[a], plan_key(data, plan)
+                    else:
+                        close = b in near[a] or near[a] & near[b]
+                        assert close or not near[a] and not near[b], plan_key(data, plan)
             plans += 1
         assert plans > 1000
 
