@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -137,17 +138,10 @@ class BlockTemplate:
 
 @dataclass(frozen=True)
 class BlockData:
-    """All templates and pieces from one data file.
-
-    ``split_modes`` holds the modes whose templates meet the conditions of
-    the part lemma in :mod:`blockdec.decompose` (see
-    :func:`_instances_stay_in_parts`); only there is a diagram decomposed
-    part by part.
-    """
+    """All templates and pieces from one data file."""
 
     templates: dict[str, BlockTemplate]
     pieces: dict[str, Piece]
-    split_modes: frozenset[str] = frozenset()
 
     def template(self, tag: str) -> BlockTemplate:
         try:
@@ -208,8 +202,6 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        # Block data is not required to be connected; stay total.
-        order.extend(p for p in range(template.size) if p not in seen)
         steps, rank = [], {}
         for pos in order:
             rank[pos] = len(rank)
@@ -227,49 +219,59 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
     return replace(template, index_edges=edges, placement_orders=tuple(orders))
 
 
-def _instances_stay_in_parts(data: BlockData, mode: str) -> bool:
-    """The conditions of the part lemma in :mod:`blockdec.decompose` for the
-    templates of ``mode``: every template is connected, and wherever an
-    instance J cancels the arrow of an instance I between white nodes a and
-    b, the net of I + J leaves a and b either both without arrows or with
-    arrows to a common node.
+def _check_part_lemma(data: BlockData) -> None:
+    """Raise :class:`BlockDataError` unless the templates meet condition (2)
+    of the part lemma in :mod:`blockdec.decompose`: wherever an instance J
+    cancels the arrow of an instance I between white nodes a and b, the net
+    of I + J leaves a and b either both without arrows or with arrows to a
+    common node.  Condition (1), that every template is connected, is
+    checked per template by :func:`_validate_template`.
 
     Only an arrow between two white labels can be cancelled, and only by an
     arrow of the same weight and the opposite direction between two white
-    labels of J.  Every such pairing is tried, with each way for J's other
-    white labels to share I's other white labels.  I and J are glued on one
-    :class:`~blockdec.gluing.GlueState`, I on nodes ``0..`` and J after them.
+    labels of J.  Every such pairing is tried, glued on one
+    :class:`~blockdec.gluing.GlueState`.  The s mode admits every template,
+    so one pass covers both modes; a failing pair of elementary templates
+    fails in quiver mode too.
     """
     from .gluing import BlockInstance, GlueState  # gluing imports this module
 
-    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
-    if any(len(t.diagram().components()) > 1 for t in templates):
-        return False
+    templates = list(data.templates.values())
     state = GlueState(data, 2 * max((t.size for t in templates), default=0))
     for s in templates:
         state.push(BlockInstance(s.tag, tuple(range(s.size))))
         for p, q, w in s.index_edges:
-            if s.colors[p] != WHITE or s.colors[q] != WHITE:
-                continue
-            s_open = [i for i in range(s.size) if s.colors[i] == WHITE and i not in (p, q)]
             for t in templates:
                 for r, u, tw in t.index_edges:
-                    if tw != w or t.colors[r] != WHITE or t.colors[u] != WHITE:
+                    if tw != w or BLACK in (s.colors[p], s.colors[q], t.colors[r], t.colors[u]):
                         continue
-                    t_open = [j for j in range(t.size) if t.colors[j] == WHITE and j not in (r, u)]
-                    for k in range(min(len(s_open), len(t_open)) + 1):
-                        for shared in itertools.combinations(t_open, k):
-                            for image in itertools.permutations(s_open, k):
-                                # J's arrow r->u lands on q->p, against I's p->q.
-                                where = {r: q, u: p, **dict(zip(shared, image))}
-                                nodes = tuple(where.get(j, s.size + j) for j in range(t.size))
-                                state.push(BlockInstance(t.tag, nodes))
-                                keeps = _cancel_keeps_parts(state.nets, p, q)
-                                state.pop()
-                                if not keeps:
-                                    return False
+                    for nodes in _cancelling_placements(s, p, q, t, r, u):
+                        state.push(BlockInstance(t.tag, nodes))
+                        keeps = _cancel_keeps_parts(state.nets, p, q)
+                        state.pop()
+                        if not keeps:
+                            modes = "quiver and s" if s.is_elementary and t.is_elementary else "s"
+                            raise BlockDataError(
+                                f"{modes} mode: block {t.tag} arrow {t.labels[r]}->{t.labels[u]} "
+                                f"cancels block {s.tag} arrow {s.labels[p]}->{s.labels[q]} and "
+                                "leaves its ends in different parts"
+                            )
         state.pop()
-    return True
+
+
+def _cancelling_placements(
+    s: BlockTemplate, p: int, q: int, t: BlockTemplate, r: int, u: int
+) -> Iterator[tuple[int, ...]]:
+    """The nodes of J = ``t`` when its arrow r->u lands on q->p, against the
+    arrow p->q of I = ``s`` on nodes ``0..``: each way for J's other white
+    labels to share I's other white labels, J's unshared labels after I."""
+    s_open = [i for i in range(s.size) if s.colors[i] == WHITE and i not in (p, q)]
+    t_open = [j for j in range(t.size) if t.colors[j] == WHITE and j not in (r, u)]
+    for k in range(min(len(s_open), len(t_open)) + 1):
+        for shared in itertools.combinations(t_open, k):
+            for image in itertools.permutations(s_open, k):
+                where = {r: q, u: p, **dict(zip(shared, image))}
+                yield tuple(where.get(j, s.size + j) for j in range(t.size))
 
 
 def _cancel_keeps_parts(nets: dict[tuple[int, int], tuple[int, int]], p: int, q: int) -> bool:
@@ -464,7 +466,9 @@ def _validate_template(template: BlockTemplate, piece: Piece) -> None:
             f"block {tag}: piece outlets {sorted(outlet_labels)} "
             f"!= white labels {sorted(template.white_labels())}"
         )
-    template.diagram()  # raises DiagramError if the template itself is ill-formed
+    # template.diagram() raises DiagramError if the template is ill-formed.
+    if len(template.diagram().components()) > 1:
+        raise BlockDataError(f"block {tag}: template is not connected")
 
 
 def parse_block_data(text: str) -> BlockData:
@@ -509,10 +513,8 @@ def parse_block_data(text: str) -> BlockData:
         templates[template.tag] = _compile(template)
 
     data = BlockData(templates=templates, pieces=pieces)
-    split_modes = frozenset(
-        mode for mode in (QUIVER, S_DIAGRAM) if _instances_stay_in_parts(data, mode)
-    )
-    return replace(data, split_modes=split_modes)
+    _check_part_lemma(data)
+    return data
 
 
 def _data_text(filename: str) -> str:
@@ -527,12 +529,9 @@ def _data_text(filename: str) -> str:
 _CACHE: dict[str, BlockData] = {}
 
 
-def load_block_data(path: str | os.PathLike | None = None) -> BlockData:
-    """Load block data from ``path``, ``$BLOCKDEC_DATA/blocks.txt``, or the
-    packaged defaults (cached per source)."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_block_data(fh.read())
+def load_block_data() -> BlockData:
+    """Load block data from ``$BLOCKDEC_DATA/blocks.txt`` or the packaged
+    defaults (cached per source)."""
     key = os.environ.get("BLOCKDEC_DATA", "")
     if key not in _CACHE:
         _CACHE[key] = parse_block_data(_data_text("blocks.txt"))

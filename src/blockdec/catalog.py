@@ -17,6 +17,7 @@ arrow reversal: the catalog draws one representative per reversal class.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .blocks import BlockData, _data_text, load_block_data
@@ -196,14 +197,9 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
 _CACHE: dict[str, tuple[CatalogEntry, ...]] = {}
 
 
-def load_catalog(path: str | None = None) -> tuple[CatalogEntry, ...]:
-    """Load the catalog from ``path``, ``$BLOCKDEC_DATA/catalog.txt``, or the
-    packaged defaults (cached per source)."""
-    import os
-
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_catalog(fh.read())
+def load_catalog() -> tuple[CatalogEntry, ...]:
+    """Load the catalog from ``$BLOCKDEC_DATA/catalog.txt`` or the packaged
+    defaults (cached per source)."""
     key = os.environ.get("BLOCKDEC_DATA", "")
     if key not in _CACHE:
         _CACHE[key] = parse_catalog(_data_text("catalog.txt"))

@@ -24,11 +24,10 @@ that glues exactly to the target.  The search is a backtracking enumeration:
   interned instances, removes the reorderings of one multiset.
 * A placement puts one label per automorphism orbit of its template on the
   pivot and places the other labels breadth first.  Each joins a placed
-  node by a template edge.  In the modes of ``BlockData.split_modes`` the
-  corollary below bounds its candidates: that node's target neighbours if
-  an end of the edge is black, else its distance-2 ball, or every isolated
-  node if it is isolated.  In other modes every node is a candidate.  So a
-  state costs time in the size of a block, not of the diagram.
+  node by a template edge, and the corollary below bounds its candidates:
+  that node's target neighbours if an end of the edge is black, else its
+  distance-2 ball, or every isolated node if it is isolated.  So a state
+  costs time in the size of a block, not of the diagram.
 * A state with every node covered and every pair realised is emitted -- and
   never extended: any strict superset would need two extra slots per touched
   node, which coverage has already spent.
@@ -75,10 +74,8 @@ the net on {a, b} is I's own arrow, which is not zero.
 
 Connectivity alone is not enough: a white path 0 -> 1 -> 2 and a white arrow
 1 -> 0 glue to the single edge 1 -> 2 plus the isolated node 0.
-:func:`blockdec.blocks.parse_block_data` checks (1) and (2) per mode by
-trying every way two templates can cancel an arrow, and records the modes
-that pass in ``BlockData.split_modes``; in any other mode the whole diagram
-is searched as one part.  The bundled block data passes in both modes, and
+:func:`blockdec.blocks.parse_block_data` therefore rejects block data that
+breaks (1) or (2), trying every way two templates can cancel an arrow.
 ``tests/test_decompose.py`` also checks the lemma and the corollary on every
 plan the oracle enumerates within small budgets.  Components are searched
 smallest first and the isolated nodes last, so a diagram without a
@@ -89,7 +86,6 @@ whenever it has two nodes or more, and often many.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
@@ -115,7 +111,7 @@ class _Search:
     def __init__(self, diagram: Diagram, data: BlockData, limit: int):
         self.data = data
         self.limit = limit
-        self.n = n = diagram.node_count
+        n = diagram.node_count
         self.templates = [data.template(tag) for tag in data.tags_for_mode(diagram.mode)]
         # Per template label, the number of template edges at it.
         self.degrees = {
@@ -150,18 +146,16 @@ class _Search:
             self.unsettled_at[b] += 1
         self.uncovered = n
 
-        # Where the corollary holds, per node: its target neighbours, and its
+        # Per node, for the corollary: its target neighbours, and its
         # distance-2 ball, built on first use (every isolated node for an
-        # isolated one).  Elsewhere every node is a candidate.
-        self.neighbours: list[tuple[int, ...]] | None = None
-        if diagram.mode in data.split_modes:
-            near: list[set[int]] = [set() for _ in range(n)]
-            for e in diagram.edges:
-                near[e.src].add(e.dst)
-                near[e.dst].add(e.src)
-            self.neighbours = [tuple(sorted(s)) for s in near]
-            self.lonely = tuple(v for v in range(n) if not near[v])
-            self.balls: list[tuple[int, ...] | None] = [None] * n
+        # isolated one).
+        near: list[set[int]] = [set() for _ in range(n)]
+        for e in diagram.edges:
+            near[e.src].add(e.dst)
+            near[e.dst].add(e.src)
+        self.neighbours = [tuple(sorted(s)) for s in near]
+        self.lonely = tuple(v for v in range(n) if not near[v])
+        self.balls: list[tuple[int, ...] | None] = [None] * n
 
         # Instances are interned to ids; a partial plan is the sorted tuple of
         # its instances' ids.
@@ -233,7 +227,7 @@ class _Search:
         placement: dict[int, int],
         pos: int,
         edges: tuple[tuple[int, int, int], ...],
-    ) -> Sequence[int]:
+    ) -> tuple[int, ...]:
         """The nodes that may take ``pos``, given the joining ``edges``, in
         ascending order.
 
@@ -241,8 +235,6 @@ class _Search:
         if any has) puts ``pos`` next to the node at its other end if an end is
         black, and within that node's distance-2 ball otherwise.
         """
-        if self.neighbours is None or not edges:
-            return range(self.n)
         f, t, _ = edges[0]
         anchor = placement[t if f == pos else f]
         if BLACK in (template.colors[f], template.colors[t]):
@@ -374,15 +366,12 @@ class _Search:
                     self._pop()
 
 
-def _parts(diagram: Diagram, data: BlockData) -> list[tuple[int, ...]]:
+def _parts(diagram: Diagram) -> list[tuple[int, ...]]:
     """The node sets searched on their own, in search order: each connected
     component with edges, smallest first, then all isolated nodes together.
     The isolated part comes last: it has a plan whenever it has two nodes or
     more, and often many, so a component without one ends the search
-    before they are enumerated.  Where the block data does not meet the part
-    lemma's conditions, the whole diagram is the only part."""
-    if diagram.mode not in data.split_modes:
-        return [tuple(range(diagram.node_count))] if diagram.node_count else []
+    before they are enumerated."""
     components = diagram.components()
     parts = sorted((c for c in components if len(c) > 1), key=lambda part: (len(part), part))
     isolated = tuple(c[0] for c in components if len(c) == 1)
@@ -446,7 +435,7 @@ def enumerate_decompositions(
         data = load_block_data()
     part_plans = {}
     truncated = False
-    for nodes in _parts(diagram, data):
+    for nodes in _parts(diagram):
         plans, part_truncated = _part_plans(diagram, nodes, data, limit)
         if not plans:
             return DecomposeResult((), False)
@@ -477,5 +466,5 @@ def is_decomposable(
     every part of the diagram has one; the product is never built."""
     if data is None:
         data = load_block_data()
-    parts = _parts(diagram, data)
+    parts = _parts(diagram)
     return bool(parts) and all(_part_plans(diagram, nodes, data, 1)[0] for nodes in parts)

@@ -172,15 +172,26 @@ def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """
     n = d.node_count
     b = [[0] * n for _ in range(n)]
+    exp = _symmetrizer_exponents(d)
     for e in d.edges:
         if e.weight == 1:
             b[e.src][e.dst], b[e.dst][e.src] = 1, -1
         elif e.weight == 4:
             b[e.src][e.dst], b[e.dst][e.src] = 2, -2
+        elif exp[e.dst] == exp[e.src] + 1:
+            b[e.src][e.dst], b[e.dst][e.src] = 2, -1
+        else:
+            b[e.src][e.dst], b[e.dst][e.src] = 1, -2
+    return tuple(tuple(row) for row in b)
 
+
+def _symmetrizer_exponents(d: Diagram) -> list[int]:
+    """Per node, the log2 of its entry in the symmetrizer that
+    :func:`to_matrix` splits the weight-2 edges by."""
+    n = d.node_count
     w2 = [e for e in d.edges if e.weight == 2]
     if not w2:
-        return tuple(tuple(row) for row in b)
+        return [0] * n
 
     # Contract weight-1/4 edges: symmetrizer equal across them.
     parent = list(range(n))
@@ -207,12 +218,7 @@ def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
                 f"weight-2 edge ({e.src},{e.dst}) closes a symmetrizer-equal cycle")
 
     exp = _solve_w2_exponents(pairs)
-    for cs, cd, e in pairs:
-        if exp[cd] == exp[cs] + 1:
-            b[e.src][e.dst], b[e.dst][e.src] = 2, -1
-        else:
-            b[e.src][e.dst], b[e.dst][e.src] = 1, -2
-    return tuple(tuple(row) for row in b)
+    return [exp.get(find(v), 0) for v in range(n)]
 
 
 def _solve_w2_exponents(pairs: Sequence[tuple[int, int, Edge]]) -> dict[int, int]:
@@ -261,28 +267,8 @@ def _solve_w2_exponents(pairs: Sequence[tuple[int, int, Edge]]) -> dict[int, int
 
 def symmetrizer(d: Diagram) -> tuple[int, ...]:
     """A positive integer symmetrizer for ``to_matrix(d)`` (diag d_i)."""
-    b = to_matrix(d)
-    n = d.node_count
-    exp = [0] * n
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in range(n):
-                if b[x][y] == 0 or seen[y]:
-                    continue
-                # d_x * b_xy = -d_y * b_yx  =>  d_y / d_x = -b_xy / b_yx
-                ratio = {(1, -1): 0, (2, -2): 0, (2, -1): 1, (1, -2): -1}[(b[x][y], b[y][x])] \
-                    if b[x][y] > 0 else \
-                    {(1, -1): 0, (2, -2): 0, (2, -1): -1, (1, -2): 1}[(b[y][x], b[x][y])]
-                exp[y] = exp[x] + ratio
-                seen[y] = True
-                stack.append(y)
-    low = min(exp) if exp else 0
+    exp = _symmetrizer_exponents(d)
+    low = min(exp, default=0)
     return tuple(2 ** (e - low) for e in exp)
 
 
@@ -499,10 +485,14 @@ def _parse_edge_list(lines: list[tuple[int, str]], mode: Optional[str]) -> Diagr
         if parts[0] == "mode":
             if len(parts) != 2 or parts[1] not in MODES:
                 raise ParseError(f"line {lineno}: bad mode line {line!r}")
+            if declared is not None:
+                raise ParseError(f"line {lineno}: duplicate mode line")
             declared = parts[1]
         elif parts[0] == "nodes":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(f"line {lineno}: bad nodes line {line!r}")
+            if node_count is not None:
+                raise ParseError(f"line {lineno}: duplicate nodes line")
             node_count = int(parts[1])
         elif parts[0] == "edge":
             if node_count is None:

@@ -312,6 +312,23 @@ def test_malformed_data_is_internal_error(capsys, tmp_path, monkeypatch):
     assert "catalog data" in err
 
 
+def test_data_that_breaks_the_part_lemma_is_internal_error(
+    capsys, tmp_path, monkeypatch, triangle_file
+):
+    from importlib import resources
+
+    blocks_src = resources.files("blockdec.data").joinpath("blocks.txt")
+    (tmp_path / "blocks.txt").write_text(
+        blocks_src.read_text(encoding="utf-8")
+        + "block Path\nnode 1 white\nnode 2 white\nnode 3 white\n"
+        "edge 1 2 1\nedge 2 3 1\npiece triangle\n"
+    )
+    monkeypatch.setenv("BLOCKDEC_DATA", str(tmp_path))
+    code, _, err = run(capsys, "decompose", triangle_file)
+    assert code == 3
+    assert "block data:" in err and "Path" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from blockdec import decompose
-from blockdec.blocks import BLACK, load_block_data, parse_block_data
+from blockdec.blocks import BLACK, BlockDataError, load_block_data, parse_block_data
 from blockdec.catalog import catalog_entry
 from blockdec.decompose import enumerate_decompositions, is_decomposable
 from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, relabel_diagram
@@ -452,32 +452,22 @@ class TestPartLemma:
             plans += 1
         assert plans > 1000
 
-    def test_bundled_data_splits_in_both_modes(self, data):
-        assert data.split_modes == {QUIVER, S_DIAGRAM}
-
     @pytest.mark.parametrize(
-        "block, instances, edges",
+        "tag, block",
         [
             # Connected, but the Spike arrow 1 -> 0 cancels the path's 0 -> 1
             # and leaves node 0 isolated.
-            ("block Path\nnode 1 white\nnode 2 white\nnode 3 white\n"
-             "edge 1 2 1\nedge 2 3 1\npiece triangle\n",
-             (("Path", (0, 1, 2)), ("Spike", (0, 1))), [(1, 2, 1)]),
-            # Disconnected: one instance spans the components {0, 1} and {2, 3}.
-            ("block Apart\nnode 1 white\nnode 2 white\nnode 3 white\n"
-             "edge 2 1 1\npiece triangle\n",
-             (("Apart", (0, 1, 2)), ("Spike", (2, 3))), [(1, 0, 1), (3, 2, 1)]),
+            ("Path", "block Path\nnode 1 white\nnode 2 white\nnode 3 white\n"
+             "edge 1 2 1\nedge 2 3 1\npiece triangle\n"),
+            # Disconnected: one instance could span two components.
+            ("Apart", "block Apart\nnode 1 white\nnode 2 white\nnode 3 white\n"
+             "edge 2 1 1\npiece triangle\n"),
         ],
         ids=["connected", "disconnected"],
     )
-    def test_data_that_breaks_the_lemma_is_searched_whole(self, block, instances, edges):
-        """Block data whose templates fail the lemma's conditions in a mode is
-        not split there, so plans whose instances cross parts are still found."""
+    def test_data_that_breaks_the_lemma_is_rejected(self, tag, block):
+        """Block data whose templates fail the lemma's conditions does not
+        load: the search relies on them to split the target into parts."""
         text = resources.files("blockdec.data").joinpath("blocks.txt").read_text()
-        custom = parse_block_data(text + block)
-        assert custom.split_modes == {QUIVER}  # the new block is s-mode only
-        plan = Plan(S_DIAGRAM, tuple(BlockInstance(t, n) for t, n in instances))
-        target = make_diagram(max(v for _, n in instances for v in n) + 1, edges, S_DIAGRAM)
-        assert glue(custom, plan).diagram == target
-        keys = {plan_key(custom, p) for p in enumerate_decompositions(target, custom).plans}
-        assert plan_key(custom, plan) in keys
+        with pytest.raises(BlockDataError, match=tag):
+            parse_block_data(text + block)

@@ -319,6 +319,14 @@ class TestTextFormats:
         with pytest.raises(ParseError, match="line 2"):
             parse_diagram("nodes 2\nedge 0 1\n")
 
+    def test_repeated_nodes_line(self):
+        with pytest.raises(ParseError, match="line 2: duplicate nodes line"):
+            parse_diagram("nodes 2\nnodes 3\nedge 0 2 1\n")
+
+    def test_repeated_mode_line(self):
+        with pytest.raises(ParseError, match="line 3: duplicate mode line"):
+            parse_diagram("mode s\nnodes 2\nmode quiver\nedge 0 1 1\n")
+
     def test_empty_text(self):
         with pytest.raises(ParseError):
             parse_diagram("   \n")
