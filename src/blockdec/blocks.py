@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
 from importlib import resources
+from operator import itemgetter
 
 from .diagram import (
     ALLOWED_WEIGHTS,
@@ -87,8 +88,9 @@ class Piece:
 class BlockTemplate:
     """A block: labelled coloured nodes, weighted edges, and its piece.
 
-    ``index_edges`` and ``placement_orders`` are integer tables compiled once
-    by :func:`parse_block_data`: the edges on label positions, and the steps
+    ``index_edges``, ``image_getters`` and ``placement_orders`` are tables
+    compiled once by :func:`parse_block_data`: the edges on label positions,
+    per automorphism a getter taking an assignment to its image, and the steps
     of a breadth-first placement from one start position per orbit of
     ``automorphisms``.  A step is a position and the index edges joining it
     to the positions before it: those with a black end first, then by how
@@ -104,6 +106,7 @@ class BlockTemplate:
     piece_id: str
     automorphisms: tuple[tuple[int, ...], ...]
     index_edges: tuple[tuple[int, int, int], ...] = ()
+    image_getters: tuple[Callable, ...] = field(default=(), compare=False, repr=False)
     placement_orders: tuple[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], ...] = ()
 
     @property
@@ -133,7 +136,7 @@ class BlockTemplate:
         ``nodes[i]`` is the diagram node assigned to ``labels[i]``; two
         assignments related by an automorphism place identical edges.
         """
-        return min(tuple(nodes[p[i]] for i in range(len(p))) for p in self.automorphisms)
+        return min(image(nodes) for image in self.image_getters)
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,12 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
             )
             steps.append((pos, tuple(edge for _, _, edge in joins)))
         orders.append(tuple(steps))
-    return replace(template, index_edges=edges, placement_orders=tuple(orders))
+    # itemgetter of one index returns a bare item, but one label has only
+    # the identity automorphism, whose image is the assignment itself.
+    images = tuple(itemgetter(*p) if len(p) > 1 else tuple for p in template.automorphisms)
+    return replace(
+        template, index_edges=edges, image_getters=images, placement_orders=tuple(orders)
+    )
 
 
 def _check_part_lemma(data: BlockData) -> None:

@@ -11,8 +11,9 @@ surface behaviour of each decomposition.
 * in quiver mode, that every decomposition's triangulation returns the
   diagram's exchange matrix.
 
-Catalog matching (``match_catalog``) works up to isomorphism *and* global
-arrow reversal: the catalog draws one representative per reversal class.
+Catalog matching (``match_catalog``, ``catalog_classes``) works up to
+isomorphism *and* global arrow reversal: the catalog draws one representative
+per reversal class.
 """
 
 from __future__ import annotations
@@ -261,13 +262,19 @@ def verify_catalog(
     return tuple(verify_entry(entry, data, limit=limit) for entry in entries)
 
 
+def catalog_classes(entries: tuple[CatalogEntry, ...] | None = None) -> dict[str, CatalogEntry]:
+    """Reversal-class key -> the first catalog entry of that class.  A key
+    starts with its mode, so one lookup matches both."""
+    entries = load_catalog() if entries is None else entries
+    classes: dict[str, CatalogEntry] = {}
+    for entry in entries:
+        classes.setdefault(reversal_class_key(entry.diagram), entry)
+    return classes
+
+
 def match_catalog(
     diagram: Diagram, entries: tuple[CatalogEntry, ...] | None = None
 ) -> CatalogEntry | None:
-    """The catalog entry isomorphic to ``diagram`` up to arrow reversal."""
-    entries = load_catalog() if entries is None else entries
-    key = reversal_class_key(diagram)
-    for entry in entries:
-        if entry.mode == diagram.mode and reversal_class_key(entry.diagram) == key:
-            return entry
-    return None
+    """The catalog entry isomorphic to ``diagram`` up to arrow reversal.  To
+    match many diagrams, build :func:`catalog_classes` once instead."""
+    return catalog_classes(entries).get(reversal_class_key(diagram))

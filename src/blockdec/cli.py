@@ -26,7 +26,7 @@ import sys
 import time
 
 from .blocks import BlockDataError, _data_text, load_block_data
-from .catalog import CatalogError, catalog_entry, load_catalog, match_catalog, verify_entry
+from .catalog import CatalogError, catalog_classes, catalog_entry, load_catalog, verify_entry
 from .decompose import enumerate_decompositions
 from .diagram import (
     MODES,
@@ -281,7 +281,7 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_sweep(args) -> int:
     data = _load_data()
-    entries = _load_catalog_entries()
+    catalog = catalog_classes(_load_catalog_entries())
     mode = args.mode or QUIVER
     hits = sweep_nonunique(args.max_nodes, mode, data)
 
@@ -293,7 +293,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for rk in sorted(classes):
         diagram = from_canonical_key(rk)
-        match = match_catalog(diagram, entries)
+        match = catalog.get(rk)
         rows.append(
             {
                 "key": rk,

@@ -306,12 +306,14 @@ def from_matrix(rows: Sequence[Sequence[int]], mode: Optional[str] = None) -> Di
 # ---------------------------------------------------------------------------
 
 def _neighbor_signature(n: int, emap: dict[tuple[int, int], int], colors: Sequence[int]):
-    sigs = []
-    for v in range(n):
-        out = sorted((w, colors[u]) for (x, u), w in emap.items() if x == v)
-        inc = sorted((w, colors[u]) for (u, x), w in emap.items() if x == v)
-        sigs.append((colors[v], tuple(out), tuple(inc)))
-    return sigs
+    """Per vertex: its colour and the sorted ``(weight, colour)`` pairs of its
+    out- and in-neighbours, gathered in one scan of the edge map."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (s, t), w in emap.items():
+        out[s].append((w, colors[t]))
+        inc[t].append((w, colors[s]))
+    return [(colors[v], tuple(sorted(out[v])), tuple(sorted(inc[v]))) for v in range(n)]
 
 
 def _refine(n: int, emap: dict[tuple[int, int], int], colors: list[int]) -> list[int]:
@@ -331,7 +333,7 @@ def _cells(colors: Sequence[int], vertices: Sequence[int]) -> list[list[int]]:
     return [sorted(by[c]) for c in sorted(by)]
 
 
-def _encode(n: int, emap: dict[tuple[int, int], int], order: Sequence[int]) -> tuple:
+def _encode(emap: dict[tuple[int, int], int], order: Sequence[int]) -> tuple:
     pos = {v: i for i, v in enumerate(order)}
     return tuple(sorted((pos[s], pos[t], w) for (s, t), w in emap.items()))
 
@@ -343,13 +345,15 @@ def _swap_invariant(emap: dict[tuple[int, int], int], u: int, v: int) -> bool:
     return {(sw(s), sw(t)): w for (s, t), w in emap.items()} == emap
 
 
-def _canonical_order(n: int, emap: dict[tuple[int, int], int]) -> list[int]:
-    """Vertex order minimizing the edge encoding (non-isolated vertices)."""
+def _canonical_order(n: int, emap: dict[tuple[int, int], int]) -> tuple[list[int], tuple]:
+    """Vertex order minimizing the edge encoding (non-isolated vertices
+    first), and that minimal encoding: the sorted ``(src, dst, weight)``
+    triples of ``emap`` relabelled by position in the order."""
     touched_set = {v for e in emap for v in e}
     touched = sorted(touched_set)
     isolated = [v for v in range(n) if v not in touched_set]
     if not touched:
-        return isolated
+        return isolated, ()
     colors = [0] * n
     colors = _refine(n, emap, colors)
 
@@ -360,7 +364,7 @@ def _canonical_order(n: int, emap: dict[tuple[int, int], int]) -> list[int]:
         target = next((c for c in cells if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
-            enc = _encode(len(order), emap, order)
+            enc = _encode(emap, order)
             if best["enc"] is None or enc < best["enc"]:
                 best["enc"], best["order"] = enc, tuple(order)
             return
@@ -376,7 +380,7 @@ def _canonical_order(n: int, emap: dict[tuple[int, int], int]) -> list[int]:
 
     rec(colors)
     assert best["order"] is not None
-    return list(best["order"]) + isolated
+    return list(best["order"]) + isolated, best["enc"]
 
 
 def canonical_form(d: Diagram) -> tuple[str, tuple[int, ...]]:
@@ -384,14 +388,13 @@ def canonical_form(d: Diagram) -> tuple[str, tuple[int, ...]]:
 
     Two diagrams have equal keys iff they are isomorphic as directed weighted
     graphs in the same mode.  Isolated nodes are placed after the canonical
-    order of the edge-bearing part.
+    order of the edge-bearing part, so the minimal encoding of that part
+    relabels its edges exactly as the returned relabeling does.
     """
-    order = _canonical_order(d.node_count, d.edge_map())
+    order, enc = _canonical_order(d.node_count, d.edge_map())
     relabel = [0] * d.node_count
     for new, old in enumerate(order):
         relabel[old] = new
-    emap = d.edge_map()
-    enc = sorted((relabel[s], relabel[t], w) for (s, t), w in emap.items())
     key = f"{d.mode}|{d.node_count}|" + ";".join(f"{s}>{t}*{w}" for s, t, w in enc)
     return key, tuple(relabel)
 

@@ -29,9 +29,11 @@ and 3; :func:`_resolve_pair` reads rule 4 forwards, from a net to an edge, and
 per-pair signed nets, kept up to date as instances are pushed and popped.
 :func:`glue` and :func:`validate_plan` push a whole plan onto a fresh state;
 the decomposer and the oracle walk their search trees on one state each,
-pushing an instance on the way down and popping it on the way back.  Loading
-block data glues pairs of instances on a state to check the part lemma of
-:mod:`blockdec.decompose`.
+pushing an instance on the way down and popping it on the way back.
+:meth:`GlueState.glued` turns a state into its diagram, with the rule-1 and
+rule-4 checks: :func:`glue` calls it on its fresh state, and the oracle on
+its search state at every plan it yields.  Loading block data glues pairs of
+instances on a state to check the part lemma of :mod:`blockdec.decompose`.
 """
 
 from __future__ import annotations
@@ -232,10 +234,12 @@ class GlueState:
         """Covered once, through a white slot."""
         return self.covers[node] == 1 and not self.blacks[node]
 
-    def occupancy_violations(self) -> list[Violation]:
-        """Rule-1 violations: overlaps by node, then uncovered nodes."""
+    def occupancy_violations(self, node_count: int | None = None) -> list[Violation]:
+        """Rule-1 violations on nodes ``0..node_count-1`` (default: all):
+        overlaps by node, then uncovered nodes."""
+        covers_of = self.covers[:node_count]
         violations = []
-        for node, covers in enumerate(self.covers):
+        for node, covers in enumerate(covers_of):
             if covers > 2:
                 violations.append(
                     Violation(OverlapViolation, f"node {node} is covered by {covers} blocks")
@@ -244,10 +248,29 @@ class GlueState:
                 violations.append(
                     Violation(OverlapViolation, f"node {node} is shared through a black slot")
                 )
-        missing = [node for node, covers in enumerate(self.covers) if not covers]
+        missing = [node for node, covers in enumerate(covers_of) if not covers]
         if missing:
             violations.append(Violation(CoverageViolation, f"uncovered node ids: {missing}"))
         return violations
+
+    def glued(self, mode: str, node_count: int) -> GlueResult:
+        """The diagram on nodes ``0..node_count-1`` that the pushed instances
+        glue to, or raise the first rule-1 violation, then the first illegal
+        pair net (rules 3 and 4) in low-high pair order.
+
+        A node's colour is white when one more block could still attach there.
+        """
+        for v in self.occupancy_violations(node_count):
+            raise v.error(v.message)
+        edges = []
+        for (a, b), (unit, heavy) in sorted(self.nets.items()):
+            direction, weight = _resolve_pair(unit, heavy)
+            if direction > 0:
+                edges.append((a, b, weight))
+            elif direction < 0:
+                edges.append((b, a, weight))
+        colors = tuple(WHITE if self.is_open(n) else BLACK for n in range(node_count))
+        return GlueResult(make_diagram(node_count, edges, mode=mode), colors)
 
 
 _RESIDUALS = {
@@ -315,20 +338,7 @@ def glue(data: BlockData, plan: Plan) -> GlueResult:
     if not plan.instances:
         raise CoverageViolation("empty plan covers no nodes")
     state = GlueState.of(data, plan)
-    for v in state.occupancy_violations():
-        raise v.error(v.message)
-
-    edges = []
-    for (a, b), (unit, heavy) in sorted(state.nets.items()):
-        direction, weight = _resolve_pair(unit, heavy)
-        if direction > 0:
-            edges.append((a, b, weight))
-        elif direction < 0:
-            edges.append((b, a, weight))
-
-    node_count = len(state.covers)
-    colors = tuple(WHITE if state.is_open(n) else BLACK for n in range(node_count))
-    return GlueResult(make_diagram(node_count, edges, mode=plan.mode), colors)
+    return state.glued(plan.mode, len(state.covers))
 
 
 # --- plan text format --------------------------------------------------------

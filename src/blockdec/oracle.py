@@ -1,12 +1,13 @@
 """Exhaustive plan enumeration: the brute-force oracle.
 
 The oracle enumerates *every* gluable plan up to a block budget over abstract
-nodes (numbered in first-use order), glues each one, and files the resulting
-diagram under its canonical key together with the plan mapped into canonical
-coordinates, as a sorted tuple of canonical instances.  The index lives in
-memory only.  Looking a diagram up closes the stored plans under the
-diagram's automorphisms, because one abstract plan can stand for several
-concrete placements on a symmetric diagram.
+nodes (numbered in first-use order), reads each plan's diagram off the gluing
+state its search holds, and files the diagram under its canonical key together
+with the plan mapped into canonical coordinates, as a sorted tuple of
+canonical instances.  The index lives in memory only.  Looking a diagram up
+closes the stored plans under the diagram's automorphisms, because one
+abstract plan can stand for several concrete placements on a symmetric
+diagram.
 
 The decomposition search in :mod:`blockdec.decompose` can then be audited
 against ground truth that was produced without any of its pruning logic.
@@ -29,8 +30,8 @@ from .gluing import (
     BlockInstance,
     GlueState,
     Plan,
+    _check_instances,
     canonical_instance,
-    glue,
 )
 
 PlanTuple = tuple[BlockInstance, ...]
@@ -42,14 +43,19 @@ def enumerate_plans(
     max_blocks: int,
     max_nodes: int,
 ):
-    """Yield every gluable plan with at most ``max_blocks`` instances on at
-    most ``max_nodes`` abstract nodes, each exactly once (by canonical instances).
+    """Yield ``(plan, diagram)`` for every gluable plan with at most
+    ``max_blocks`` instances on at most ``max_nodes`` abstract nodes, each plan
+    exactly once (by canonical instances).
 
     Nodes are numbered in first-use order.  Any occupancy-legal placement
     glues, so enumeration only reads slot usage from its gluing state: a
     white slot may land on an open node or a fresh one, a black slot only on
-    a fresh one.  Plans are sorted tuples of interned canonical instances, so
-    the visited set shares its instances.
+    a fresh one.  Each plan still passes :func:`~blockdec.gluing.glue`'s
+    checks: its instances are checked on their own, and its diagram is read
+    from the search state by :meth:`GlueState.glued`, which checks rules 1
+    and 4.  Plans are sorted tuples of interned canonical instances, so the
+    visited set shares its instances; a child already visited is skipped
+    before it is pushed.
     """
     templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
     state = GlueState(data, max_nodes)
@@ -60,16 +66,16 @@ def enumerate_plans(
         """All single-instance extensions of a state on ``n`` used nodes."""
         open_nodes = [i for i in range(n) if state.is_open(i)]
         for template in templates:
+            size, colors = template.size, template.colors
             assignments: list[tuple[int, ...]] = []
 
             def assign(pos: int, chosen: tuple[int, ...], fresh: int) -> None:
                 if n + fresh > max_nodes:
                     return
-                if pos == template.size:
+                if pos == size:
                     assignments.append(chosen)
                     return
-                color = template.colors[pos]
-                if color == WHITE:
+                if colors[pos] == WHITE:
                     for node in open_nodes:
                         if node not in chosen:
                             assign(pos + 1, chosen + (node,), fresh)
@@ -89,18 +95,20 @@ def enumerate_plans(
         return canon
 
     def dfs(plan: tuple[BlockInstance, ...], n: int):
-        if plan in visited:
-            return
-        visited.add(plan)
         if plan:
-            yield Plan(mode, plan)
+            found = Plan(mode, plan)
+            for v in _check_instances(data, found):
+                raise v.error(v.message)
+            yield found, state.glued(mode, n).diagram
         if len(plan) == max_blocks:
             return
         for inst in placements(n):
+            child = tuple(sorted(plan + (canonical(inst),)))
+            if child in visited:
+                continue
+            visited.add(child)
             state.push(inst)
-            yield from dfs(
-                tuple(sorted(plan + (canonical(inst),))), max(n, max(inst.nodes) + 1)
-            )
+            yield from dfs(child, max(n, max(inst.nodes) + 1))
             state.pop()
 
     yield from dfs((), 0)
@@ -156,8 +164,8 @@ def build_index(
     if max_nodes is None:
         max_nodes = 5 * max_blocks
     entries: dict[str, set[PlanTuple]] = {}
-    for plan in enumerate_plans(data, mode, max_blocks, max_nodes):
-        dkey, relabel = canonical_form(glue(data, plan).diagram)
+    for plan, diagram in enumerate_plans(data, mode, max_blocks, max_nodes):
+        dkey, relabel = canonical_form(diagram)
         entries.setdefault(dkey, set()).add(_mapped(data, plan.instances, relabel))
     return OracleIndex(
         mode, max_blocks, max_nodes,

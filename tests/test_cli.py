@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -356,6 +357,31 @@ def test_sweep_quiver_2_empty(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["classes"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, classes, digest",
+    [
+        (
+            ["--max-nodes", "5"],
+            18,
+            "857bc9942eef726ed05d51f1e8dcb84fdc75b700e53c4cef4532e376e2d95552",
+        ),
+        (
+            ["--mode", "s", "--max-nodes", "4"],
+            14,
+            "a48731bdd363cb720ec733b74ffa8bd1127e8e976463726969dbb553c3dbe82a",
+        ),
+    ],
+    ids=["quiver-5", "s-4"],
+)
+def test_sweep_stdout_is_pinned(capsys, argv, classes, digest):
+    """The sweep's stdout bytes are fixed: any change to the oracle must file
+    the same diagrams under the same keys with the same counts."""
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    assert f"classes {classes}" in out.splitlines()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_search_deeper_than_recursion_limit_decomposes(tmp_path):

@@ -9,11 +9,13 @@ from blockdec.decompose import enumerate_decompositions
 from blockdec.diagram import (
     QUIVER,
     S_DIAGRAM,
+    canonical_form,
     canonical_key,
     from_canonical_key,
     make_diagram,
+    relabel_diagram,
 )
-from blockdec.gluing import canonical_plan, glue, plan_key
+from blockdec.gluing import BlockInstance, Plan, canonical_plan, glue, plan_key
 from blockdec.oracle import (
     build_index,
     enumerate_plans,
@@ -34,36 +36,48 @@ def quiver_index_2(data):
 
 class TestEnumeration:
     def test_single_block_quiver_plans(self, data):
-        plans = list(enumerate_plans(data, QUIVER, max_blocks=1, max_nodes=5))
+        plans = [p for p, _ in enumerate_plans(data, QUIVER, max_blocks=1, max_nodes=5)]
         assert len(plans) == 6  # one per elementary block
         assert {p.instances[0].tag for p in plans} == {
             "Spike", "Triangle", "Infork", "Outfork", "Diamond", "Square",
         }
 
     def test_single_block_s_plans(self, data):
-        plans = list(enumerate_plans(data, S_DIAGRAM, max_blocks=1, max_nodes=5))
+        plans = [p for p, _ in enumerate_plans(data, S_DIAGRAM, max_blocks=1, max_nodes=5)]
         assert len(plans) == 13
 
     def test_first_use_numbering(self, data):
-        for plan in enumerate_plans(data, QUIVER, max_blocks=2, max_nodes=6):
+        for plan, _ in enumerate_plans(data, QUIVER, max_blocks=2, max_nodes=6):
             used = {v for inst in plan.instances for v in inst.nodes}
             assert used == set(range(len(used)))
 
     def test_all_plans_glue(self, data):
-        for plan in enumerate_plans(data, S_DIAGRAM, max_blocks=2, max_nodes=6):
+        for plan, _ in enumerate_plans(data, S_DIAGRAM, max_blocks=2, max_nodes=6):
             glue(data, plan)  # must not raise
 
     def test_no_duplicate_plan_keys(self, data):
         keys = [
             plan_key(data, p)
-            for p in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=4)
+            for p, _ in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=4)
         ]
         assert len(keys) == len(set(keys))
 
     def test_node_budget_respected(self, data):
-        for plan in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=3):
+        for plan, _ in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=3):
             used = {v for inst in plan.instances for v in inst.nodes}
             assert len(used) <= 3
+
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    def test_yielded_diagram_is_the_glued_one(self, data, mode):
+        """The diagram read off the search state is the one glue builds from
+        scratch, on every plan of at most three blocks: the node budget lets
+        the three place on disjoint nodes."""
+        max_nodes = 3 * max(t.size for t in data.templates.values())
+        plans = 0
+        for plan, diagram in enumerate_plans(data, mode, max_blocks=3, max_nodes=max_nodes):
+            assert diagram == glue(data, plan).diagram, plan_key(data, plan)
+            plans += 1
+        assert plans > 5000
 
 
 class TestIndex:
@@ -99,6 +113,29 @@ class TestIndex:
         diagram = make_diagram(2, [])
         closed = quiver_index_2.closed_plans(diagram, data)
         assert len(closed) == 1
+
+    @pytest.mark.parametrize(
+        "mode, max_blocks, max_nodes", [(QUIVER, 4, 5), (S_DIAGRAM, 3, 5)]
+    )
+    def test_index_matches_glued_reference(self, data, mode, max_blocks, max_nodes):
+        """build_index files each plan as a reference built from glue does:
+        the key spelt out from the relabelled diagram, the plan relabelled and
+        made canonical."""
+        reference: dict[str, set] = {}
+        for plan, _ in enumerate_plans(data, mode, max_blocks, max_nodes):
+            diagram = glue(data, plan).diagram
+            _, relabel = canonical_form(diagram)
+            edges = relabel_diagram(diagram, relabel).edges
+            key = f"{mode}|{diagram.node_count}|" + ";".join(
+                f"{e.src}>{e.dst}*{e.weight}" for e in edges
+            )
+            moved = tuple(
+                BlockInstance(i.tag, tuple(relabel[v] for v in i.nodes)) for i in plan.instances
+            )
+            reference.setdefault(key, set()).add(canonical_plan(data, Plan(mode, moved)).instances)
+        index = build_index(max_blocks, mode, data, max_nodes=max_nodes)
+        assert index.entries == {k: frozenset(v) for k, v in reference.items()}
+        assert len(index.entries) > 50
 
     def test_monotone_in_block_budget(self, data):
         small = build_index(2, QUIVER, data, max_nodes=4)
