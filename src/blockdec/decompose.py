@@ -77,9 +77,10 @@ Connectivity alone is not enough: a white path 0 -> 1 -> 2 and a white arrow
 :func:`blockdec.blocks.parse_block_data` therefore rejects block data that
 breaks (1) or (2), trying every way two templates can cancel an arrow.
 ``tests/test_decompose.py`` also checks the lemma and the corollary on every
-plan the oracle enumerates within small budgets.  Components are searched
-smallest first and the isolated nodes last, so a diagram without a
-decomposition is usually rejected early: the isolated part has a plan
+plan the oracle expands within small budgets; those are all the plans up
+to isomorphism, and neither statement depends on node names.  Components
+are searched smallest first and the isolated nodes last, so a diagram
+without a decomposition is usually rejected early: the isolated part has a plan
 whenever it has two nodes or more, and often many.
 """
 

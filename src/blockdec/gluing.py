@@ -32,7 +32,7 @@ the decomposer and the oracle walk their search trees on one state each,
 pushing an instance on the way down and popping it on the way back.
 :meth:`GlueState.glued` turns a state into its diagram, with the rule-1 and
 rule-4 checks: :func:`glue` calls it on its fresh state, and the oracle on
-its search state at every plan it yields.  Loading block data glues pairs of
+its search state at every child plan it builds.  Loading block data glues pairs of
 instances on a state to check the part lemma of :mod:`blockdec.decompose`.
 """
 

@@ -1,13 +1,15 @@
 """Exhaustive plan enumeration: the brute-force oracle.
 
-The oracle enumerates *every* gluable plan up to a block budget over abstract
+The oracle enumerates the gluable plans up to a block budget over abstract
 nodes (numbered in first-use order), reads each plan's diagram off the gluing
 state its search holds, and files the diagram under its canonical key together
 with the plan mapped into canonical coordinates, as a sorted tuple of
-canonical instances.  The index lives in memory only.  Looking a diagram up
-closes the stored plans under the diagram's automorphisms, because one
-abstract plan can stand for several concrete placements on a symmetric
-diagram.
+canonical instances.  That pair is the plan's *entry*; the search expands one
+plan per entry, so it reaches every plan up to isomorphism, but not every
+automorphic image of one.  The index lives in memory only.  Looking a diagram
+up closes the stored plans under the diagram's automorphisms, which restores
+those images: one abstract plan can stand for several concrete placements on
+a symmetric diagram.
 
 The decomposition search in :mod:`blockdec.decompose` can then be audited
 against ground truth that was produced without any of its pruning logic.
@@ -43,24 +45,30 @@ def enumerate_plans(
     max_blocks: int,
     max_nodes: int,
 ):
-    """Yield ``(plan, diagram)`` for every gluable plan with at most
-    ``max_blocks`` instances on at most ``max_nodes`` abstract nodes, each plan
-    exactly once (by canonical instances).
+    """Yield ``(plan, diagram, key, canonical)`` for one gluable plan of each
+    entry, over plans with at most ``max_blocks`` instances on at most
+    ``max_nodes`` abstract nodes: the plan, its glued diagram, and its entry,
+    the diagram's canonical key with the plan in canonical coordinates.
 
     Nodes are numbered in first-use order.  Any occupancy-legal placement
     glues, so enumeration only reads slot usage from its gluing state: a
     white slot may land on an open node or a fresh one, a black slot only on
-    a fresh one.  Each plan still passes :func:`~blockdec.gluing.glue`'s
+    a fresh one.  Every child built still passes :func:`~blockdec.gluing.glue`'s
     checks: its instances are checked on their own, and its diagram is read
     from the search state by :meth:`GlueState.glued`, which checks rules 1
-    and 4.  Plans are sorted tuples of interned canonical instances, so the
-    visited set shares its instances; a child already visited is skipped
-    before it is pushed.
+    and 4.
+
+    A child is expanded only if its entry is new.  That loses no plan up to
+    isomorphism: plans with equal entries are isomorphic, and isomorphic
+    plans have isomorphic children under first-use numbering, so by
+    induction on the block count every class the labelled search reaches is
+    reached.  Children of one parent that are the same sorted tuple of
+    canonical instances are skipped before they are glued.
     """
     templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
     state = GlueState(data, max_nodes)
     interned: dict[BlockInstance, BlockInstance] = {}
-    visited: set[tuple[BlockInstance, ...]] = set()
+    visited: set[tuple[str, PlanTuple]] = set()
 
     def placements(n: int):
         """All single-instance extensions of a state on ``n`` used nodes."""
@@ -94,21 +102,27 @@ def enumerate_plans(
             canon = interned[inst] = interned.setdefault(canon, canon)
         return canon
 
-    def dfs(plan: tuple[BlockInstance, ...], n: int):
-        if plan:
-            found = Plan(mode, plan)
-            for v in _check_instances(data, found):
-                raise v.error(v.message)
-            yield found, state.glued(mode, n).diagram
+    def dfs(plan: PlanTuple, n: int):
         if len(plan) == max_blocks:
             return
+        children: set[PlanTuple] = set()
         for inst in placements(n):
             child = tuple(sorted(plan + (canonical(inst),)))
-            if child in visited:
+            if child in children:
                 continue
-            visited.add(child)
+            children.add(child)
+            found = Plan(mode, child)
+            for v in _check_instances(data, found):
+                raise v.error(v.message)
+            m = max(n, max(inst.nodes) + 1)
             state.push(inst)
-            yield from dfs(child, max(n, max(inst.nodes) + 1))
+            diagram = state.glued(mode, m).diagram
+            key, relabel = canonical_form(diagram)
+            entry = (key, _mapped(data, child, relabel))
+            if entry not in visited:
+                visited.add(entry)
+                yield found, diagram, *entry
+                yield from dfs(child, m)
             state.pop()
 
     yield from dfs((), 0)
@@ -123,10 +137,20 @@ def _mapped(data: BlockData, instances: PlanTuple, mapping: tuple[int, ...]) -> 
     ))
 
 
+def _closure(
+    data: BlockData, stored: frozenset[PlanTuple], diagram: Diagram
+) -> frozenset[PlanTuple]:
+    """``stored``, plans on ``diagram`` in the canonical coordinates its key
+    spells out, closed under the diagram's automorphisms."""
+    auts = automorphisms(diagram)
+    return frozenset(_mapped(data, plan, aut) for plan in stored for aut in auts)
+
+
 @dataclass(frozen=True)
 class OracleIndex:
     """Canonical diagram key -> plans in canonical coordinates, each a sorted
-    tuple of canonical instances."""
+    tuple of canonical instances.  The plans of a key are one or more per
+    isomorphism class of plan, not closed under the diagram's automorphisms."""
 
     mode: str
     max_blocks: int
@@ -142,10 +166,9 @@ class OracleIndex:
         stored = self.entries.get(key, frozenset())
         if not stored:
             return frozenset()
-        auts = automorphisms(relabel_diagram(diagram, relabel))
         if data is None:
             data = load_block_data()
-        return frozenset(_mapped(data, plan, aut) for plan in stored for aut in auts)
+        return _closure(data, stored, relabel_diagram(diagram, relabel))
 
 
 def build_index(
@@ -164,9 +187,8 @@ def build_index(
     if max_nodes is None:
         max_nodes = 5 * max_blocks
     entries: dict[str, set[PlanTuple]] = {}
-    for plan, diagram in enumerate_plans(data, mode, max_blocks, max_nodes):
-        dkey, relabel = canonical_form(diagram)
-        entries.setdefault(dkey, set()).add(_mapped(data, plan.instances, relabel))
+    for _, _, key, canonical in enumerate_plans(data, mode, max_blocks, max_nodes):
+        entries.setdefault(key, set()).add(canonical)
     return OracleIndex(
         mode, max_blocks, max_nodes,
         {k: frozenset(v) for k, v in entries.items()},
@@ -184,11 +206,11 @@ def sweep_nonunique(
         data = load_block_data()
     index = build_index(max_blocks=max_nodes, mode=mode, data=data, max_nodes=max_nodes)
     result: dict[str, int] = {}
-    for dkey in index.entries:
+    for dkey, stored in index.entries.items():
         diagram = from_canonical_key(dkey)
         if not diagram.is_connected():
             continue
-        count = len(index.closed_plans(diagram))
+        count = len(_closure(data, stored, diagram))
         if count >= 2:
             result[dkey] = count
     return result

@@ -360,28 +360,48 @@ def test_sweep_quiver_2_empty(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, classes, digest",
+    "argv, classes, digest, stable_from",
     [
         (
             ["--max-nodes", "5"],
             18,
             "857bc9942eef726ed05d51f1e8dcb84fdc75b700e53c4cef4532e376e2d95552",
+            None,
         ),
         (
             ["--mode", "s", "--max-nodes", "4"],
             14,
             "a48731bdd363cb720ec733b74ffa8bd1127e8e976463726969dbb553c3dbe82a",
+            None,
+        ),
+        (
+            ["--max-nodes", "7"],
+            22,
+            "1287e94fe2923ac3b23f1fcce457e9e101b11c732fe717660fe08fd592632fe9",
+            ["--max-nodes", "6"],
+        ),
+        (
+            ["--mode", "s", "--max-nodes", "6"],
+            26,
+            "3801fe305b4e8d6cd87da9f8a1e1a66252ffee65c91a51ec63a3373e0d515aa9",
+            None,
         ),
     ],
-    ids=["quiver-5", "s-4"],
+    ids=["quiver-5", "s-4", "quiver-7", "s-6"],
 )
-def test_sweep_stdout_is_pinned(capsys, argv, classes, digest):
+def test_sweep_stdout_is_pinned(capsys, argv, classes, digest, stable_from):
     """The sweep's stdout bytes are fixed: any change to the oracle must file
-    the same diagrams under the same keys with the same counts."""
+    the same diagrams under the same keys with the same counts.  Where
+    ``stable_from`` is given, the list of classes has stopped growing: the
+    sweep at that smaller bound prints the same class lines."""
     code, out, _ = run(capsys, "sweep", *argv)
     assert code == 0
     assert f"classes {classes}" in out.splitlines()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    if stable_from is not None:
+        _, smaller, _ = run(capsys, "sweep", *stable_from)
+        class_lines = lambda text: [l for l in text.splitlines() if l.startswith("class ")]  # noqa: E731
+        assert class_lines(out) == class_lines(smaller)
 
 
 def test_search_deeper_than_recursion_limit_decomposes(tmp_path):

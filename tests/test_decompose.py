@@ -422,7 +422,7 @@ class TestPartLemma:
         """The lemma the component split rests on, on every oracle plan within
         the budget: each instance lies inside one part of the glued diagram."""
         plans = 0
-        for plan, _ in enumerate_plans(data, mode, max_blocks, max_nodes):
+        for plan, *_ in enumerate_plans(data, mode, max_blocks, max_nodes):
             part = parts_of(glue(data, plan).diagram)
             for inst in plan.instances:
                 assert len({part[v] for v in inst.nodes}) == 1, plan_key(data, plan)
@@ -438,7 +438,7 @@ class TestPartLemma:
         isolated nodes or two nodes at target distance at most 2, and at
         distance 1 when an end is black."""
         plans = 0
-        for plan, _ in enumerate_plans(data, mode, max_blocks, max_nodes):
+        for plan, *_ in enumerate_plans(data, mode, max_blocks, max_nodes):
             near = neighbours(glue(data, plan).diagram)
             for inst in plan.instances:
                 template = data.template(inst.tag)

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from blockdec.blocks import load_block_data
+from blockdec.blocks import WHITE, load_block_data
 from blockdec.decompose import enumerate_decompositions
 from blockdec.diagram import (
     QUIVER,
@@ -15,13 +15,87 @@ from blockdec.diagram import (
     make_diagram,
     relabel_diagram,
 )
-from blockdec.gluing import BlockInstance, Plan, canonical_plan, glue, plan_key
+from blockdec.gluing import (
+    BlockInstance,
+    GlueState,
+    Plan,
+    canonical_instance,
+    canonical_plan,
+    glue,
+    plan_key,
+)
 from blockdec.oracle import (
+    OracleIndex,
     build_index,
     enumerate_plans,
     random_plan,
     sweep_nonunique,
 )
+
+
+def labelled_plans(data, mode, max_blocks, max_nodes):
+    """Reference: every gluable plan with at most ``max_blocks`` instances on
+    at most ``max_nodes`` first-use-numbered nodes, each sorted tuple of
+    canonical instances once, with no dedup up to isomorphism."""
+    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+    state = GlueState(data, max_nodes)
+    visited = set()
+
+    def placements(n):
+        open_nodes = [i for i in range(n) if state.is_open(i)]
+        for template in templates:
+            assignments = []
+
+            def assign(pos, chosen, fresh):
+                if n + fresh > max_nodes:
+                    return
+                if pos == template.size:
+                    assignments.append(chosen)
+                    return
+                if template.colors[pos] == WHITE:
+                    for node in open_nodes:
+                        if node not in chosen:
+                            assign(pos + 1, chosen + (node,), fresh)
+                if n + fresh < max_nodes:
+                    assign(pos + 1, chosen + (n + fresh,), fresh + 1)
+
+            assign(0, (), 0)
+            for nodes in assignments:
+                yield BlockInstance(template.tag, nodes)
+
+    def dfs(plan, n):
+        if plan:
+            yield Plan(mode, plan)
+        if len(plan) == max_blocks:
+            return
+        for inst in placements(n):
+            child = tuple(sorted(plan + (canonical_instance(data, inst),)))
+            if child in visited:
+                continue
+            visited.add(child)
+            state.push(inst)
+            yield from dfs(child, max(n, max(inst.nodes) + 1))
+            state.pop()
+
+    yield from dfs((), 0)
+
+
+def reference_entries(data, mode, max_blocks, max_nodes):
+    """Every labelled plan filed from ``glue``: the key spelt out from the
+    relabelled diagram, the plan relabelled and made canonical."""
+    reference: dict[str, set] = {}
+    for plan in labelled_plans(data, mode, max_blocks, max_nodes):
+        diagram = glue(data, plan).diagram
+        _, relabel = canonical_form(diagram)
+        edges = relabel_diagram(diagram, relabel).edges
+        key = f"{mode}|{diagram.node_count}|" + ";".join(
+            f"{e.src}>{e.dst}*{e.weight}" for e in edges
+        )
+        moved = tuple(
+            BlockInstance(i.tag, tuple(relabel[v] for v in i.nodes)) for i in plan.instances
+        )
+        reference.setdefault(key, set()).add(canonical_plan(data, Plan(mode, moved)).instances)
+    return reference
 
 
 @pytest.fixture(scope="module")
@@ -36,34 +110,34 @@ def quiver_index_2(data):
 
 class TestEnumeration:
     def test_single_block_quiver_plans(self, data):
-        plans = [p for p, _ in enumerate_plans(data, QUIVER, max_blocks=1, max_nodes=5)]
+        plans = [p for p, *_ in enumerate_plans(data, QUIVER, max_blocks=1, max_nodes=5)]
         assert len(plans) == 6  # one per elementary block
         assert {p.instances[0].tag for p in plans} == {
             "Spike", "Triangle", "Infork", "Outfork", "Diamond", "Square",
         }
 
     def test_single_block_s_plans(self, data):
-        plans = [p for p, _ in enumerate_plans(data, S_DIAGRAM, max_blocks=1, max_nodes=5)]
+        plans = [p for p, *_ in enumerate_plans(data, S_DIAGRAM, max_blocks=1, max_nodes=5)]
         assert len(plans) == 13
 
     def test_first_use_numbering(self, data):
-        for plan, _ in enumerate_plans(data, QUIVER, max_blocks=2, max_nodes=6):
+        for plan, *_ in enumerate_plans(data, QUIVER, max_blocks=2, max_nodes=6):
             used = {v for inst in plan.instances for v in inst.nodes}
             assert used == set(range(len(used)))
 
     def test_all_plans_glue(self, data):
-        for plan, _ in enumerate_plans(data, S_DIAGRAM, max_blocks=2, max_nodes=6):
+        for plan, *_ in enumerate_plans(data, S_DIAGRAM, max_blocks=2, max_nodes=6):
             glue(data, plan)  # must not raise
 
     def test_no_duplicate_plan_keys(self, data):
         keys = [
             plan_key(data, p)
-            for p, _ in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=4)
+            for p, *_ in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=4)
         ]
         assert len(keys) == len(set(keys))
 
     def test_node_budget_respected(self, data):
-        for plan, _ in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=3):
+        for plan, *_ in enumerate_plans(data, QUIVER, max_blocks=3, max_nodes=3):
             used = {v for inst in plan.instances for v in inst.nodes}
             assert len(used) <= 3
 
@@ -71,13 +145,19 @@ class TestEnumeration:
     def test_yielded_diagram_is_the_glued_one(self, data, mode):
         """The diagram read off the search state is the one glue builds from
         scratch, on every plan of at most three blocks: the node budget lets
-        the three place on disjoint nodes."""
+        the three place on disjoint nodes.  Each entry comes once, is one
+        the labelled reference files, and every key of the reference is
+        reached."""
         max_nodes = 3 * max(t.size for t in data.templates.values())
-        plans = 0
-        for plan, diagram in enumerate_plans(data, mode, max_blocks=3, max_nodes=max_nodes):
+        reference = reference_entries(data, mode, 3, max_nodes)
+        entries = set()
+        for plan, diagram, key, canonical in enumerate_plans(data, mode, 3, max_nodes):
             assert diagram == glue(data, plan).diagram, plan_key(data, plan)
-            plans += 1
-        assert plans > 5000
+            assert key == canonical_key(diagram)
+            assert canonical in reference[key], plan_key(data, plan)
+            assert (key, canonical) not in entries
+            entries.add((key, canonical))
+        assert {key for key, _ in entries} == reference.keys()
 
 
 class TestIndex:
@@ -115,33 +195,39 @@ class TestIndex:
         assert len(closed) == 1
 
     @pytest.mark.parametrize(
-        "mode, max_blocks, max_nodes", [(QUIVER, 4, 5), (S_DIAGRAM, 3, 5)]
+        "mode, max_blocks, max_nodes",
+        [
+            (QUIVER, 4, 5),
+            (S_DIAGRAM, 3, 5),
+            (QUIVER, 5, 5),
+            (S_DIAGRAM, 5, 5),
+            (QUIVER, 4, 7),
+            (S_DIAGRAM, 4, 6),
+        ],
     )
     def test_index_matches_glued_reference(self, data, mode, max_blocks, max_nodes):
-        """build_index files each plan as a reference built from glue does:
-        the key spelt out from the relabelled diagram, the plan relabelled and
-        made canonical."""
-        reference: dict[str, set] = {}
-        for plan, _ in enumerate_plans(data, mode, max_blocks, max_nodes):
-            diagram = glue(data, plan).diagram
-            _, relabel = canonical_form(diagram)
-            edges = relabel_diagram(diagram, relabel).edges
-            key = f"{mode}|{diagram.node_count}|" + ";".join(
-                f"{e.src}>{e.dst}*{e.weight}" for e in edges
-            )
-            moved = tuple(
-                BlockInstance(i.tag, tuple(relabel[v] for v in i.nodes)) for i in plan.instances
-            )
-            reference.setdefault(key, set()).add(canonical_plan(data, Plan(mode, moved)).instances)
+        """build_index against the labelled reference: the same keys, every
+        stored plan filed by the reference too, and the same closure on every
+        key.  The index may store fewer automorphic images of a plan."""
+        reference = reference_entries(data, mode, max_blocks, max_nodes)
         index = build_index(max_blocks, mode, data, max_nodes=max_nodes)
-        assert index.entries == {k: frozenset(v) for k, v in reference.items()}
+        assert index.entries.keys() == reference.keys()
+        for key, plans in index.entries.items():
+            assert plans <= reference[key], key
+        closing = OracleIndex(
+            mode, max_blocks, max_nodes, {k: frozenset(v) for k, v in reference.items()}
+        )
+        for key in reference:
+            diagram = from_canonical_key(key)
+            assert index.closed_plans(diagram, data) == closing.closed_plans(diagram, data), key
         assert len(index.entries) > 50
 
     def test_monotone_in_block_budget(self, data):
         small = build_index(2, QUIVER, data, max_nodes=4)
         large = build_index(3, QUIVER, data, max_nodes=4)
-        for dkey, plans in small.entries.items():
-            assert plans <= large.entries[dkey]
+        for dkey in small.entries:
+            diagram = from_canonical_key(dkey)
+            assert small.closed_plans(diagram, data) <= large.closed_plans(diagram, data)
 
 
 class TestDifferential:
