@@ -11,6 +11,12 @@ up closes the stored plans under the diagram's automorphisms, which restores
 those images: one abstract plan can stand for several concrete placements on
 a symmetric diagram.
 
+The full index, over every plan, is the differential tests' ground truth.
+``sweep`` needs connected diagrams only, so it indexes overlap-connected plans
+alone, where each block after the first shares a node with an earlier one:
+every connected diagram keeps all its entries, and about half the children
+are never built.
+
 The decomposition search in :mod:`blockdec.decompose` can then be audited
 against ground truth that was produced without any of its pruning logic.
 """
@@ -44,6 +50,7 @@ def enumerate_plans(
     mode: str,
     max_blocks: int,
     max_nodes: int,
+    connected: bool = False,
 ):
     """Yield ``(plan, diagram, key, canonical)`` for one gluable plan of each
     entry, over plans with at most ``max_blocks`` instances on at most
@@ -64,6 +71,20 @@ def enumerate_plans(
     induction on the block count every class the labelled search reaches is
     reached.  Children of one parent that are the same sorted tuple of
     canonical instances are skipped before they are glued.
+
+    With ``connected``, only *overlap-connected* plans are enumerated: every
+    instance after the first uses a node an earlier one used, so
+    ``min(inst.nodes) < n``.  The assignment search never builds the
+    placements that use fresh nodes only.  Every plan of a connected diagram
+    is overlap-connected, because each edge joins two nodes of one instance,
+    so instances falling into two node-disjoint groups glue to a disconnected
+    diagram.  Such a plan keeps, after dropping a leaf of a spanning tree of
+    its overlap graph, an overlap-connected plan one block smaller, and the
+    dropped instance meets one of its open white nodes.  Overlap-connectedness
+    is invariant under isomorphism, so the induction above runs unchanged
+    within these plans, and every connected diagram keeps all its entries.
+    A plan is expanded even when its arrows cancel to a disconnected diagram,
+    since a child may be connected again.
     """
     templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
     state = GlueState(data, max_nodes)
@@ -71,10 +92,15 @@ def enumerate_plans(
     visited: set[tuple[str, PlanTuple]] = set()
 
     def placements(n: int):
-        """All single-instance extensions of a state on ``n`` used nodes."""
+        """All single-instance extensions of a state on ``n`` used nodes;
+        with ``connected``, only those that use a node already in use."""
         open_nodes = [i for i in range(n) if state.is_open(i)]
+        touch = connected and n > 0
+        if touch and not open_nodes:
+            return
         for template in templates:
             size, colors = template.size, template.colors
+            last_white = max((p for p, c in enumerate(colors) if c == WHITE), default=-1)
             assignments: list[tuple[int, ...]] = []
 
             def assign(pos: int, chosen: tuple[int, ...], fresh: int) -> None:
@@ -88,7 +114,9 @@ def enumerate_plans(
                         if node not in chosen:
                             assign(pos + 1, chosen + (node,), fresh)
                 # A fresh node: always the next unused id (first-use order).
-                if n + fresh < max_nodes:
+                # Under ``touch``, a slot takes one while an earlier slot
+                # holds a used node or a later white slot still can.
+                if n + fresh < max_nodes and (not touch or fresh < pos or pos < last_white):
                     assign(pos + 1, chosen + (n + fresh,), fresh + 1)
 
             assign(0, (), 0)
@@ -176,18 +204,22 @@ def build_index(
     mode: str,
     data: BlockData | None = None,
     max_nodes: int | None = None,
+    connected: bool = False,
 ) -> OracleIndex:
     """Index every diagram gluable from at most ``max_blocks`` blocks.
 
     ``max_nodes`` bounds the abstract node supply (default: enough for fully
-    disjoint placements, five nodes per block).
+    disjoint placements, five nodes per block).  With ``connected``, only
+    overlap-connected plans are indexed (see :func:`enumerate_plans`): every
+    connected diagram keeps exactly its entries, and the only other keys are
+    disconnected diagrams left by arrows that cancel.
     """
     if data is None:
         data = load_block_data()
     if max_nodes is None:
         max_nodes = 5 * max_blocks
     entries: dict[str, set[PlanTuple]] = {}
-    for _, _, key, canonical in enumerate_plans(data, mode, max_blocks, max_nodes):
+    for _, _, key, canonical in enumerate_plans(data, mode, max_blocks, max_nodes, connected):
         entries.setdefault(key, set()).add(canonical)
     return OracleIndex(
         mode, max_blocks, max_nodes,
@@ -201,10 +233,16 @@ def sweep_nonunique(
     data: BlockData | None = None,
 ) -> dict[str, int]:
     """Connected diagrams on at most ``max_nodes`` nodes with two or more
-    inequivalent decompositions: canonical key -> decomposition count."""
+    inequivalent decompositions: canonical key -> decomposition count.
+
+    Only connected diagrams are reported, and every plan of one is
+    overlap-connected, so the index is built from those plans alone; the
+    keys it still holds with a disconnected diagram are dropped here."""
     if data is None:
         data = load_block_data()
-    index = build_index(max_blocks=max_nodes, mode=mode, data=data, max_nodes=max_nodes)
+    index = build_index(
+        max_blocks=max_nodes, mode=mode, data=data, max_nodes=max_nodes, connected=True
+    )
     result: dict[str, int] = {}
     for dkey, stored in index.entries.items():
         diagram = from_canonical_key(dkey)

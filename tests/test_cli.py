@@ -386,8 +386,14 @@ def test_sweep_quiver_2_empty(capsys):
             "3801fe305b4e8d6cd87da9f8a1e1a66252ffee65c91a51ec63a3373e0d515aa9",
             None,
         ),
+        (
+            ["--mode", "s", "--max-nodes", "7"],
+            26,
+            "d58c54d2c6df7b57206a43332cce3f5c3865b531afb2444c06d394ee8c443466",
+            ["--mode", "s", "--max-nodes", "6"],
+        ),
     ],
-    ids=["quiver-5", "s-4", "quiver-7", "s-6"],
+    ids=["quiver-5", "s-4", "quiver-7", "s-6", "s-7"],
 )
 def test_sweep_stdout_is_pinned(capsys, argv, classes, digest, stable_from):
     """The sweep's stdout bytes are fixed: any change to the oracle must file

@@ -142,6 +142,33 @@ class TestEnumeration:
             assert len(used) <= 3
 
     @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_connected_plans_are_overlap_connected(self, data, mode, connected):
+        """With ``connected``, every yielded plan's instances form one class
+        under sharing a node; without it, some plans fall apart."""
+
+        def classes(plan):
+            parent = list(range(len(plan.instances)))
+
+            def find(i):
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+
+            owner = {}
+            for i, inst in enumerate(plan.instances):
+                for v in inst.nodes:
+                    parent[find(i)] = find(owner.setdefault(v, i))
+            return len({find(i) for i in range(len(parent))})
+
+        counts = [
+            classes(plan)
+            for plan, *_ in enumerate_plans(data, mode, 3, 6, connected=connected)
+        ]
+        assert counts
+        assert (max(counts) == 1) == connected
+
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
     def test_yielded_diagram_is_the_glued_one(self, data, mode):
         """The diagram read off the search state is the one glue builds from
         scratch, on every plan of at most three blocks: the node budget lets
@@ -221,6 +248,27 @@ class TestIndex:
             diagram = from_canonical_key(key)
             assert index.closed_plans(diagram, data) == closing.closed_plans(diagram, data), key
         assert len(index.entries) > 50
+
+    @pytest.mark.parametrize(
+        "mode, max_blocks, max_nodes",
+        [(QUIVER, 5, 5), (S_DIAGRAM, 4, 5), (QUIVER, 3, 7), (S_DIAGRAM, 3, 6)],
+    )
+    def test_connected_index_matches_full_on_connected_keys(
+        self, data, mode, max_blocks, max_nodes
+    ):
+        """The index over overlap-connected plans has every connected key of
+        the full index with the same stored plans, and no other connected
+        key; its disconnected keys are diagrams whose arrows all cancel."""
+        full = build_index(max_blocks, mode, data, max_nodes=max_nodes)
+        conn = build_index(max_blocks, mode, data, max_nodes=max_nodes, connected=True)
+        is_connected = lambda key: from_canonical_key(key).is_connected()  # noqa: E731
+        full_keys = {k for k in full.entries if is_connected(k)}
+        assert {k for k in conn.entries if is_connected(k)} == full_keys
+        for key in full_keys:
+            assert conn.entries[key] == full.entries[key], key
+        for key in conn.entries.keys() - full_keys:
+            assert not from_canonical_key(key).edges, key
+        assert len(conn.entries) < len(full.entries)
 
     def test_monotone_in_block_budget(self, data):
         small = build_index(2, QUIVER, data, max_nodes=4)
