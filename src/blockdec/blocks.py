@@ -19,9 +19,11 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from operator import itemgetter
+from typing import NamedTuple
 
 from .diagram import (
     ALLOWED_WEIGHTS,
+    MODES,
     QUIVER,
     S_DIAGRAM,
     Diagram,
@@ -84,19 +86,38 @@ class Piece:
         return sum(1 for face in self.faces for fsid, _ in face if fsid == sid)
 
 
+class PlacementStep(NamedTuple):
+    """One label that the decomposer places after the start of a placement
+    order, joined to labels placed before it."""
+
+    pos: int  # the label placed
+    anchor: int  # an earlier label; the candidates lie near its node
+    adjacent: bool  # candidates are the anchor's target neighbours only
+    # The index edges joining ``pos`` to earlier labels, each with a flag that
+    # is set when an end is black: those first, then by how early their other
+    # end was placed.
+    edges: tuple[tuple[int, int, int, bool], ...]
+
+
 @dataclass(frozen=True)
 class BlockTemplate:
     """A block: labelled coloured nodes, weighted edges, and its piece.
 
-    ``index_edges``, ``image_getters`` and ``placement_orders`` are tables
-    compiled once by :func:`parse_block_data`: the edges on label positions,
-    per automorphism a getter taking an assignment to its image, and the steps
-    of a breadth-first placement from one start position per orbit of
-    ``automorphisms``.  A step is a position and the index edges joining it
-    to the positions before it: those with a black end first, then by how
-    early their other end was placed.  The decomposer draws the position's
-    candidates from the target neighbourhood of the first joining edge's
-    other end.
+    The fields from ``index_edges`` on are tables compiled once by
+    :func:`parse_block_data`:
+
+    * ``index_edges``: the edges on label positions;
+    * ``blacks`` and ``degrees``: per label, whether it is black and how many
+      index edges meet it;
+    * ``image_getters``: per automorphism, a getter taking an assignment to
+      its image;
+    * ``placement_orders``: one breadth-first placement per orbit of
+      ``automorphisms``, as its start label and a :class:`PlacementStep` per
+      later label.  A step's anchor is the other end of its first joining
+      edge.  By the corollary in :mod:`blockdec.decompose`, the label's
+      candidates are the anchor's target neighbours when that edge has a
+      black end (then ``adjacent`` is set), and its distance-2 ball
+      otherwise.
     """
 
     tag: str
@@ -106,8 +127,10 @@ class BlockTemplate:
     piece_id: str
     automorphisms: tuple[tuple[int, ...], ...]
     index_edges: tuple[tuple[int, int, int], ...] = ()
+    blacks: tuple[bool, ...] = ()
+    degrees: tuple[int, ...] = ()
     image_getters: tuple[Callable, ...] = field(default=(), compare=False, repr=False)
-    placement_orders: tuple[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], ...] = ()
+    placement_orders: tuple[tuple[int, tuple[PlacementStep, ...]], ...] = ()
 
     @property
     def size(self) -> int:
@@ -140,11 +163,28 @@ class BlockTemplate:
 
 
 @dataclass(frozen=True)
+class ModeTables:
+    """What the decomposer reads for one mode, compiled when the data loads.
+
+    ``templates`` are the templates the mode admits, in data order.
+    ``open_nets`` maps each set of nets that a pair may end with (each value
+    of :func:`~blockdec.gluing.target_nets`, and
+    :data:`~blockdec.gluing.NO_EDGE`) to that set plus the nets that one more
+    arrow of those templates turns into one of them.
+    """
+
+    templates: tuple[BlockTemplate, ...]
+    open_nets: dict[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]
+
+
+@dataclass(frozen=True)
 class BlockData:
-    """All templates and pieces from one data file."""
+    """All templates and pieces from one data file, and per mode the
+    decomposer's tables."""
 
     templates: dict[str, BlockTemplate]
     pieces: dict[str, Piece]
+    modes: dict[str, ModeTables] = field(default_factory=dict, compare=False, repr=False)
 
     def template(self, tag: str) -> BlockTemplate:
         try:
@@ -189,6 +229,7 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
     """The template with its integer tables filled in."""
     index = {label: i for i, label in enumerate(template.labels)}
     edges = tuple((index[f], index[t], w) for f, t, w in template.edges)
+    blacks = tuple(color == BLACK for color in template.colors)
     adjacency: list[list[int]] = [[] for _ in range(template.size)]
     for f, t, _ in edges:
         adjacency[f].append(t)
@@ -205,26 +246,38 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        steps, rank = [], {}
-        for pos in order:
+        steps, rank = [], {start: 0}
+        for pos in order[1:]:
             rank[pos] = len(rank)
             joins = sorted(
-                (
-                    BLACK not in (template.colors[f], template.colors[t]),
-                    rank[t if f == pos else f],
-                    (f, t, w),
-                )
+                (not hard, rank[t if f == pos else f], (f, t, w, hard))
                 for f, t, w in edges
                 if pos in (f, t) and {f, t} <= rank.keys()
+                for hard in [blacks[f] or blacks[t]]
             )
-            steps.append((pos, tuple(edge for _, _, edge in joins)))
-        orders.append(tuple(steps))
+            f, t, _, hard = joins[0][2]
+            anchor = t if f == pos else f
+            steps.append(PlacementStep(pos, anchor, hard, tuple(edge for _, _, edge in joins)))
+        orders.append((start, tuple(steps)))
     # itemgetter of one index returns a bare item, but one label has only
     # the identity automorphism, whose image is the assignment itself.
     images = tuple(itemgetter(*p) if len(p) > 1 else tuple for p in template.automorphisms)
     return replace(
-        template, index_edges=edges, image_getters=images, placement_orders=tuple(orders)
+        template,
+        index_edges=edges,
+        blacks=blacks,
+        degrees=tuple(len(near) for near in adjacency),
+        image_getters=images,
+        placement_orders=tuple(orders),
     )
+
+
+def _compile_mode(data: BlockData, mode: str) -> ModeTables:
+    """The decomposer's tables for ``mode``."""
+    from .gluing import open_nets  # gluing imports this module
+
+    templates = tuple(data.template(tag) for tag in data.tags_for_mode(mode))
+    return ModeTables(templates, open_nets(templates))
 
 
 def _check_part_lemma(data: BlockData) -> None:
@@ -522,7 +575,7 @@ def parse_block_data(text: str) -> BlockData:
 
     data = BlockData(templates=templates, pieces=pieces)
     _check_part_lemma(data)
-    return data
+    return replace(data, modes={mode: _compile_mode(data, mode) for mode in MODES})
 
 
 def _data_text(filename: str) -> str:

@@ -28,6 +28,14 @@ that glues exactly to the target.  The search is a backtracking enumeration:
   that node's target neighbours if an end of the edge is black, else its
   distance-2 ball, or every isolated node if it is isolated.  So a state
   costs time in the size of a block, not of the diagram.
+* The block data compiles these walks once, when it loads: per template,
+  its black labels, edge degrees and placement orders, each step with its
+  anchor label, whether its candidates are the anchor's neighbours only,
+  and its joining edges, each flagged when an end is black
+  (:class:`~blockdec.blocks.PlacementStep`); per mode, the templates and
+  the nets one more arrow can still turn into a target's
+  (:class:`~blockdec.blocks.ModeTables`).  A state's placements are one
+  flat loop over those tables.
 * A state with every node covered and every pair realised is emitted -- and
   never extended: any strict superset would need two extra slots per touched
   node, which coverage has already spent.
@@ -36,7 +44,9 @@ that glues exactly to the target.  The search is a backtracking enumeration:
   recursion limit.
 
 Plans are reported in canonical form, deduplicated modulo template
-automorphisms, sorted by their plan key.
+automorphisms, sorted by their plan key.  The search also reports its
+counts, one :class:`SearchStats` per part (below): states, dedup hits,
+expansions and dead ends, placements completed and stranded, and plans.
 
 The search runs once per *part* of the target: each connected component that
 has edges is a part, and all isolated nodes together form one more part.  A
@@ -87,23 +97,38 @@ whenever it has two nodes or more, and often many.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, product
 
-from .blocks import BLACK, BlockData, BlockTemplate, load_block_data
+from .blocks import BlockData, BlockTemplate, load_block_data
 from .diagram import Diagram, make_diagram
 from .gluing import (
-    BlockInstance, GlueState, Plan, canonical_instance, net_with_arrow, plan_key, target_nets,
+    NO_EDGE, BlockInstance, GlueState, Plan, canonical_instance, net_with_arrow, plan_key,
+    target_nets,
 )
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """The counts of one part's search.  They depend on the part, the block
+    data and the limit, not on the machine."""
+
+    nodes: int  # nodes of the part
+    states: int  # children pushed: partial plans entered
+    dedup_hits: int  # children skipped as reorderings of a visited plan
+    expansions: int  # states whose placements were generated
+    dead_ends: int  # expansions with no placement
+    placements: int  # placements completed, before the strand test
+    stranded: int  # completed placements cut by the strand test
+    plans: int  # plans found
 
 
 @dataclass(frozen=True)
 class DecomposeResult:
     plans: tuple[Plan, ...]  # canonical, sorted by plan key
     truncated: bool  # True when enumeration stopped at the limit
-
-
-_NO_EDGE = frozenset({(0, 0)})
+    # One record per part searched, in search order.
+    stats: tuple[SearchStats, ...] = field(default=(), compare=False)
 
 
 class _Search:
@@ -113,29 +138,13 @@ class _Search:
         self.data = data
         self.limit = limit
         n = diagram.node_count
-        self.templates = [data.template(tag) for tag in data.tags_for_mode(diagram.mode)]
-        # Per template label, the number of template edges at it.
-        self.degrees = {
-            t.tag: [sum(pos in (f, h) for f, h, _ in t.index_edges) for pos in range(t.size)]
-            for t in self.templates
-        }
-        # The nets one template arrow can add to a pair, in either direction.
-        steps = {
-            net_with_arrow({}, a, b, w)[1]
-            for template in self.templates
-            for _, _, w in template.index_edges
-            for a, b in ((0, 1), (1, 0))
-        }
-
-        def reachable(nets: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-            return nets | {(u - du, h - dh) for u, h in nets for du, dh in steps}
-
-        # Per pair: the nets that may stand once it is frozen, and, while one
-        # more block can still reach it, those plus the nets one arrow turns
-        # into them.  A pair missing from ``final`` carries no target edge.
+        tables = data.modes[diagram.mode]
+        self.templates = tables.templates
+        # Per pair: the nets that may stand once it is frozen.  A pair missing
+        # here carries no target edge.  While one more block can still reach
+        # a pair, ``open_nets`` of its final set may stand.
         self.final = target_nets(diagram)
-        self.open = {pair: reachable(nets) for pair, nets in self.final.items()}
-        self.open_no_edge = reachable(_NO_EDGE)
+        self.open_nets = tables.open_nets
         self.state = GlueState(data, n)
 
         # The pairs whose net the target does not allow, how many of them
@@ -155,7 +164,7 @@ class _Search:
             near[e.src].add(e.dst)
             near[e.dst].add(e.src)
         self.neighbours = [tuple(sorted(s)) for s in near]
-        self.lonely = tuple(v for v in range(n) if not near[v])
+        self.lonely = tuple([v for v in range(n) if not near[v]])
         self.balls: list[tuple[int, ...] | None] = [None] * n
 
         # Instances are interned to ids; a partial plan is the sorted tuple of
@@ -165,6 +174,8 @@ class _Search:
         self.visited: set[tuple[int, ...]] = set()
         self.found: set[tuple[BlockInstance, ...]] = set()
         self.truncated = False
+        self.states = self.dedup_hits = self.expansions = 0
+        self.dead_ends = self.placements = self.stranded = 0
 
     # -- extension generation ---------------------------------------------------
 
@@ -172,49 +183,97 @@ class _Search:
         """All canonical single-block placements covering the pivot node that
         strand no unsettled pair, sorted, each with its id.
 
-        A label that closes its node must settle every unsettled pair there,
-        so it needs at least as many template edges; labels that fail this
-        are cut at once, and :meth:`_strands` makes the test exact once the
-        block is placed.
+        Each placement order of each template puts its start label on the
+        pivot and walks its steps depth first, one candidate iterator per
+        step.  A candidate must be unused in the placement and accept the
+        label's slot.  A label that closes its node must settle every
+        unsettled pair there, so it needs at least as many template edges;
+        labels that fail this are cut at once, and :meth:`_strands` makes
+        the test exact once the block is placed.  Then the pairs of the
+        step's joining edges are checked against the targets; the pairs of
+        earlier steps passed already and cannot change within one
+        extension.  A pair freezes after this block if an endpoint is black
+        in it or covered already, and its net must then be final.
+        Otherwise both endpoints keep one white slot, so at most one more
+        block can add an arrow there.
         """
-        state = self.state
-        covers, unsettled_at = state.covers, self.unsettled_at
+        state, final, open_nets = self.state, self.final, self.open_nets
+        covers, blacks, nets = state.covers, state.blacks, state.nets
+        unsettled_at, neighbours, balls = self.unsettled_at, self.neighbours, self.balls
         out: set[BlockInstance] = set()
+        # The pivot's slot use and unsettled pairs, which every start label meets.
+        covered, count = covers[pivot], unsettled_at[pivot]
+        closed = covered > 1 or blacks[pivot]
         for template in self.templates:
-            degrees = self.degrees[template.tag]
-
-            def too_few_edges(node: int, pos: int) -> bool:
-                closes = covers[node] or template.colors[pos] == BLACK
-                return closes and unsettled_at[node] > degrees[pos]
-
-            for steps in template.placement_orders:
-                start = steps[0][0]
-                if not state.accepts(pivot, template.colors[start]) or too_few_edges(pivot, start):
+            is_black, degrees = template.blacks, template.degrees
+            for start, steps in template.placement_orders:
+                black = is_black[start]
+                if covered and (closed or black):
                     continue
-                placement: dict[int, int] = {start: pivot}
-
-                def assign(depth: int) -> None:
-                    if depth == len(steps):
-                        nodes = tuple(placement[i] for i in range(template.size))
-                        if not self._strands(template, nodes):
-                            inst = BlockInstance(template.tag, nodes)
-                            out.add(canonical_instance(self.data, inst))
-                        return
-                    pos, edges = steps[depth]
-                    color = template.colors[pos]
-                    used = set(placement.values())
-                    for node in self._candidates(template, placement, pos, edges):
-                        if node in used or not state.accepts(node, color):
+                if (covered or black) and count > degrees[start]:
+                    continue
+                nodes = [pivot] * len(is_black)
+                if not steps:
+                    self._complete(template, tuple(nodes), out)
+                    continue
+                placed = [pivot]  # the nodes of the start and of the steps before ``depth``
+                candidates = [iter(())] * len(steps)
+                depth, descended = 0, True
+                while depth >= 0:
+                    pos, anchor, adjacent, edges = steps[depth]
+                    if descended:
+                        near = nodes[anchor]
+                        ring = neighbours[near] if adjacent else balls[near] or self._ball(near)
+                        candidates[depth] = iter(ring)
+                        descended = False
+                    black, degree = is_black[pos], degrees[pos]
+                    for node in candidates[depth]:
+                        if node in placed:
                             continue
-                        if too_few_edges(node, pos):
+                        c = covers[node]
+                        if c and (c > 1 or black or blacks[node]):
                             continue
-                        placement[pos] = node
-                        if self._placement_ok(template, placement, edges):
-                            assign(depth + 1)
-                        del placement[pos]
-
-                assign(1)
+                        if (c or black) and unsettled_at[node] > degree:
+                            continue
+                        nodes[pos] = node
+                        for f, t, w, hard in edges:
+                            a, b = nodes[f], nodes[t]
+                            key, net = net_with_arrow(nets, a, b, w)
+                            allowed = final.get(key, NO_EDGE)
+                            if not (hard or covers[a] or covers[b]):
+                                allowed = open_nets[allowed]
+                            if net not in allowed:
+                                break
+                        else:
+                            if depth + 1 < len(steps):
+                                placed.append(node)
+                                depth, descended = depth + 1, True
+                                break
+                            self._complete(template, tuple(nodes), out)
+                    else:
+                        depth -= 1
+                        placed.pop()
+        self.expansions += 1
+        self.dead_ends += not out
         return [(inst, self._id(inst)) for inst in sorted(out)]
+
+    def _complete(self, template: BlockTemplate, nodes: tuple[int, ...], out: set) -> None:
+        """Add the completed placement ``nodes`` to ``out``, canonical, unless
+        it strands an unsettled pair."""
+        self.placements += 1
+        if self._strands(template, nodes):
+            self.stranded += 1
+        else:
+            out.add(canonical_instance(self.data, BlockInstance(template.tag, nodes)))
+
+    def _ball(self, node: int) -> tuple[int, ...]:
+        """The distance-2 ball of ``node`` without it, ascending, or every
+        isolated node if it is isolated; built once per node."""
+        near = self.neighbours
+        ring = set(near[node]).union(*(near[u] for u in near[node]))
+        ring.discard(node)
+        ball = self.balls[node] = tuple(sorted(ring)) if ring else self.lonely
+        return ball
 
     def _id(self, inst: BlockInstance) -> int:
         i = self.ids.setdefault(inst, len(self.instances))
@@ -222,72 +281,20 @@ class _Search:
             self.instances.append(inst)
         return i
 
-    def _candidates(
-        self,
-        template: BlockTemplate,
-        placement: dict[int, int],
-        pos: int,
-        edges: tuple[tuple[int, int, int], ...],
-    ) -> tuple[int, ...]:
-        """The nodes that may take ``pos``, given the joining ``edges``, in
-        ascending order.
-
-        By the corollary, the first joining edge (compiled to have a black end
-        if any has) puts ``pos`` next to the node at its other end if an end is
-        black, and within that node's distance-2 ball otherwise.
-        """
-        f, t, _ = edges[0]
-        anchor = placement[t if f == pos else f]
-        if BLACK in (template.colors[f], template.colors[t]):
-            return self.neighbours[anchor]
-        ball = self.balls[anchor]
-        if ball is None:
-            near = self.neighbours
-            ring = set(near[anchor]).union(*(near[u] for u in near[anchor]))
-            ring.discard(anchor)
-            ball = self.balls[anchor] = tuple(sorted(ring)) if ring else self.lonely
-        return ball
-
-    def _placement_ok(
-        self,
-        template: BlockTemplate,
-        placement: dict[int, int],
-        edges: tuple[tuple[int, int, int], ...],
-    ) -> bool:
-        """Check the pairs of ``edges``, whose labels were just placed, against
-        the targets; the pairs of earlier steps passed already and cannot
-        change within one extension.
-
-        A pair freezes after this block if an endpoint's slots fill up, and
-        its net must then be final.  Otherwise both endpoints keep one white
-        slot, so at most one more block can add an arrow there.
-        """
-        covers, nets, colors = self.state.covers, self.state.nets, template.colors
-        for fpos, tpos, w in edges:
-            a, b = placement[fpos], placement[tpos]
-            key, net = net_with_arrow(nets, a, b, w)
-            if covers[a] or covers[b] or colors[fpos] == BLACK or colors[tpos] == BLACK:
-                allowed = self.final.get(key, _NO_EDGE)
-            else:
-                allowed = self.open.get(key, self.open_no_edge)
-            if net not in allowed:
-                return False
-        return True
-
     def _strands(self, template: BlockTemplate, nodes: tuple[int, ...]) -> bool:
         """Would the placement close a node that keeps an unsettled pair?
 
         A closed node takes no further block, so its pairs never change again:
         the branch would be dead.  Only the block's own nodes can close, and
-        :meth:`_placement_ok` has let every pair of the block with a closing
+        :meth:`_extensions` has let every pair of the block with a closing
         end settle, so a closing node keeps exactly its unsettled pairs that
         the block does not touch.
         """
         covers, count, unsettled = self.state.covers, self.unsettled_at, self.unsettled
         left = {
             v: count[v]
-            for v, color in zip(nodes, template.colors)
-            if count[v] and (covers[v] or color == BLACK)
+            for v, black in zip(nodes, template.blacks)
+            if count[v] and (covers[v] or black)
         }
         if not left:
             return False
@@ -319,7 +326,7 @@ class _Search:
         for f, t, _ in self.data.template(inst.tag).index_edges:
             a, b = nodes[f], nodes[t]
             pair = (a, b) if a < b else (b, a)
-            settled = nets.get(pair, (0, 0)) in final.get(pair, _NO_EDGE)
+            settled = nets.get(pair, (0, 0)) in final.get(pair, NO_EDGE)
             if settled != (pair in unsettled):
                 continue
             if settled:
@@ -349,9 +356,11 @@ class _Search:
                 at = bisect_left(plan, i)
                 child = plan[:at] + (i,) + plan[at:]
                 if child in self.visited:
+                    self.dedup_hits += 1
                     continue
                 self._push(inst)
                 self.visited.add(child)
+                self.states += 1
                 if self.unsettled or self.uncovered:
                     stack.append((child, iter(self._extensions(self._pivot()))))
                     break
@@ -383,9 +392,9 @@ def _parts(diagram: Diagram) -> list[tuple[int, ...]]:
 
 def _part_plans(
     diagram: Diagram, nodes: tuple[int, ...], data: BlockData, limit: int
-) -> tuple[list[tuple[BlockInstance, ...]], bool]:
-    """The plans of one part on the original node ids, sorted as tuples, and
-    whether its search was truncated.
+) -> tuple[list[tuple[BlockInstance, ...]], bool, SearchStats]:
+    """The plans of one part on the original node ids, sorted as tuples,
+    whether its search was truncated, and its counts.
 
     A part smaller than the diagram is relabelled to ``0..k-1`` in increasing
     node order and its plans are mapped back.  Both maps are increasing, so
@@ -404,12 +413,16 @@ def _part_plans(
     search = _Search(part, data, limit)
     search.run()
     plans = sorted(search.found)
+    stats = SearchStats(
+        len(nodes), search.states, search.dedup_hits, search.expansions,
+        search.dead_ends, search.placements, search.stranded, len(plans),
+    )
     if part is not diagram:
         plans = [
-            tuple(BlockInstance(i.tag, tuple(nodes[v] for v in i.nodes)) for i in plan)
+            tuple([BlockInstance(i.tag, tuple([nodes[v] for v in i.nodes])) for i in plan])
             for plan in plans
         ]
-    return plans, search.truncated
+    return plans, search.truncated, stats
 
 
 def enumerate_decompositions(
@@ -436,10 +449,12 @@ def enumerate_decompositions(
         data = load_block_data()
     part_plans = {}
     truncated = False
+    stats = []
     for nodes in _parts(diagram):
-        plans, part_truncated = _part_plans(diagram, nodes, data, limit)
+        plans, part_truncated, part_stats = _part_plans(diagram, nodes, data, limit)
+        stats.append(part_stats)
         if not plans:
-            return DecomposeResult((), False)
+            return DecomposeResult((), False, tuple(stats))
         part_plans[nodes] = plans
         truncated = truncated or part_truncated
     if not part_plans:
@@ -457,7 +472,7 @@ def enumerate_decompositions(
     )
     if len(plans) > limit:
         plans, truncated = plans[:limit], True
-    return DecomposeResult(tuple(plans), truncated)
+    return DecomposeResult(tuple(plans), truncated, tuple(stats))
 
 
 def is_decomposable(

@@ -143,7 +143,11 @@ def make_diagram(node_count: int, edges: Iterable[tuple[int, int, int]], mode: s
         if (dst, src) in merged:
             raise TwoCycle(f"opposite edges between {min(src, dst)} and {max(src, dst)}")
 
-    out = tuple(Edge(s, d, w) for (s, d), w in sorted(merged.items()))
+    # tuple() of a list, not of a generator: from a generator it builds a
+    # larger tuple and shrinks it, and a shrunk tuple, once freed, waits on
+    # the free list of its new size until the next full garbage collection.
+    # The hot paths that build tuples per call do it this way.
+    out = tuple([Edge(s, d, w) for (s, d), w in sorted(merged.items())])
     return Diagram(node_count, out, mode)
 
 
@@ -182,7 +186,7 @@ def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
             b[e.src][e.dst], b[e.dst][e.src] = 2, -1
         else:
             b[e.src][e.dst], b[e.dst][e.src] = 1, -2
-    return tuple(tuple(row) for row in b)
+    return tuple([tuple(row) for row in b])
 
 
 def _symmetrizer_exponents(d: Diagram) -> list[int]:
@@ -269,7 +273,7 @@ def symmetrizer(d: Diagram) -> tuple[int, ...]:
     """A positive integer symmetrizer for ``to_matrix(d)`` (diag d_i)."""
     exp = _symmetrizer_exponents(d)
     low = min(exp, default=0)
-    return tuple(2 ** (e - low) for e in exp)
+    return tuple([2 ** (e - low) for e in exp])
 
 
 def from_matrix(rows: Sequence[Sequence[int]], mode: Optional[str] = None) -> Diagram:

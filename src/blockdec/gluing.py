@@ -24,6 +24,9 @@ This module is the only one that knows how a pair's net is encoded and what
 rule 4 makes of it.  :func:`net_with_arrow` is the pair arithmetic of rules 2
 and 3; :func:`_resolve_pair` reads rule 4 forwards, from a net to an edge, and
 :func:`target_nets` reads it backwards, from an edge to the nets that give it.
+:func:`open_nets` adds the nets one more arrow can still turn into those; block
+data compiles it once per mode when it loads, and the decomposer reads it
+there, calling :func:`net_with_arrow` for every pair it checks.
 
 :class:`GlueState` is the one record of rules 1 to 3: per-node slot use and
 per-pair signed nets, kept up to date as instances are pushed and popped.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BLACK, WHITE, BlockData
+from .blocks import BLACK, WHITE, BlockData, BlockTemplate
 from .diagram import Diagram, make_diagram, MODES
 
 
@@ -211,11 +214,11 @@ class GlueState:
 
     def _apply(self, inst: BlockInstance, sign: int) -> None:
         template = self.data.template(inst.tag)
-        nodes, nets = inst.nodes, self.nets
-        for node, color in zip(nodes, template.colors):
-            self.covers[node] += sign
-            if color == BLACK:
-                self.blacks[node] += sign
+        nodes, nets, covers, blacks = inst.nodes, self.nets, self.covers, self.blacks
+        for node, black in zip(nodes, template.blacks):
+            covers[node] += sign
+            if black:
+                blacks[node] += sign
         for f, t, w in template.index_edges:
             if sign < 0:
                 f, t = t, f  # popping an arrow adds its reverse
@@ -224,11 +227,6 @@ class GlueState:
                 nets[key] = net
             else:
                 del nets[key]
-
-    def accepts(self, node: int, color: str) -> bool:
-        """May ``node`` take one more slot of ``color``?"""
-        covers = self.covers[node]
-        return covers == 0 or (covers == 1 and not self.blacks[node] and color == WHITE)
 
     def is_open(self, node: int) -> bool:
         """Covered once, through a white slot."""
@@ -269,7 +267,7 @@ class GlueState:
                 edges.append((a, b, weight))
             elif direction < 0:
                 edges.append((b, a, weight))
-        colors = tuple(WHITE if self.is_open(n) else BLACK for n in range(node_count))
+        colors = tuple([WHITE if self.is_open(n) else BLACK for n in range(node_count)])
         return GlueResult(make_diagram(node_count, edges, mode=mode), colors)
 
 
@@ -299,17 +297,48 @@ def _resolve_pair(unit: int, heavy: int) -> tuple[int, int]:
     return (0, 0) if weight == 0 else (sign, weight)
 
 
+# Per edge weight and direction (+1 low->high, -1 high->low), the nets that
+# rule 4 maps to that edge.
+_TARGET_NETS = {
+    (weight, sign): frozenset(
+        (sign * unit, sign * heavy) for (unit, heavy), w in _RESIDUALS.items() if w == weight
+    )
+    for weight in set(_RESIDUALS.values()) - {0}
+    for sign in (1, -1)
+}
+
+NO_EDGE = frozenset({(0, 0)})  # the nets of a pair that carries no edge
+
+
 def target_nets(diagram: Diagram) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
     """Rule 4 backwards: per low-high pair carrying an edge of ``diagram``,
     every net that :func:`_resolve_pair` maps to that edge.  A pair missing
-    here carries no edge, which only the net ``(0, 0)`` means."""
+    here carries no edge, which only the nets in :data:`NO_EDGE` mean."""
     nets = {}
     for (src, dst), weight in diagram.edge_map().items():
         key, (sign, _) = net_with_arrow({}, src, dst, 1)  # one unit arrow src -> dst
-        nets[key] = frozenset(
-            (sign * unit, sign * heavy) for (unit, heavy), w in _RESIDUALS.items() if w == weight
-        )
+        nets[key] = _TARGET_NETS[weight, sign]
     return nets
+
+
+def open_nets(
+    templates: tuple[BlockTemplate, ...]
+) -> dict[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+    """Per set of nets that a pair may end with (each value of
+    :func:`target_nets`, and :data:`NO_EDGE`): that set plus every net that
+    one more arrow of ``templates``, in either direction, turns into one of
+    them.  While one more block can still reach a pair, its net must lie
+    there.  Block data compiles this once per mode when it loads."""
+    steps = {
+        net_with_arrow({}, a, b, w)[1]
+        for template in templates
+        for _, _, w in template.index_edges
+        for a, b in ((0, 1), (1, 0))
+    }
+    return {
+        nets: nets | {(unit - du, heavy - dh) for unit, heavy in nets for du, dh in steps}
+        for nets in (*_TARGET_NETS.values(), NO_EDGE)
+    }
 
 
 def validate_plan(data: BlockData, plan: Plan) -> list[Violation]:

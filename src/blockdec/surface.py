@@ -360,7 +360,7 @@ def assemble(data: BlockData, plan: Plan) -> Triangulation:
         vertices=vertices,
         arc_ends=resolved_arcs,
         bseg_ends=resolved_bsegs,
-        faces=tuple(tuple(face) for face in faces),
+        faces=tuple([tuple(face) for face in faces]),
         node_arc=node_arc,
     )
     tri.validate()

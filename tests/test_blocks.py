@@ -11,7 +11,8 @@ from blockdec.blocks import (
     load_block_data,
     parse_block_data,
 )
-from blockdec.diagram import QUIVER, S_DIAGRAM, canonical_key, make_diagram
+from blockdec.diagram import ALLOWED_WEIGHTS, QUIVER, S_DIAGRAM, canonical_key, make_diagram
+from blockdec.gluing import NO_EDGE, net_with_arrow, target_nets
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,7 @@ class TestTemplates:
         the automorphism group."""
         for tag in ALL_TAGS:
             t = data.template(tag)
-            starts = [steps[0][0] for steps in t.placement_orders]
+            starts = [start for start, _ in t.placement_orders]
             orbits = {frozenset(p[i] for p in t.automorphisms) for i in range(t.size)}
             assert len(starts) == len(orbits), tag
             assert all(len(orbit.intersection(starts)) == 1 for orbit in orbits), tag
@@ -118,6 +119,65 @@ class TestTemplates:
     def test_tags_for_mode(self, data):
         assert data.tags_for_mode(QUIVER) == ELEMENTARY_TAGS
         assert data.tags_for_mode(S_DIAGRAM) == ALL_TAGS
+
+
+class TestCompiledTables:
+    """The tables the decomposer reads, against what they are compiled from."""
+
+    def test_black_flags_and_degrees(self, data):
+        for tag in ALL_TAGS:
+            t = data.template(tag)
+            assert t.blacks == tuple(c == BLACK for c in t.colors), tag
+            assert t.degrees == tuple(
+                sum(pos in (f, h) for f, h, _ in t.index_edges) for pos in range(t.size)
+            ), tag
+
+    def test_placement_steps(self, data):
+        """Every order places each label once; each step's anchor is placed
+        before it and is the other end of its first joining edge; candidates
+        are neighbours only when that edge has a black end, and an edge is
+        hard when an end is black.  Every index edge joins exactly one step."""
+        for tag in ALL_TAGS:
+            t = data.template(tag)
+            for start, steps in t.placement_orders:
+                placed, joined = [start], []
+                for step in steps:
+                    assert step.anchor in placed, (tag, start, step)
+                    f, h, _, _ = step.edges[0]
+                    assert step.anchor == (h if f == step.pos else f), (tag, start, step)
+                    assert step.adjacent == (BLACK in (t.colors[f], t.colors[h])), (tag, step)
+                    for f, h, w, hard in step.edges:
+                        assert step.pos in (f, h) and {f, h} - {step.pos} <= set(placed)
+                        assert hard == (BLACK in (t.colors[f], t.colors[h])), (tag, step)
+                        joined.append((f, h, w))
+                    placed.append(step.pos)
+                assert sorted(placed) == list(range(t.size)), (tag, start)
+                assert sorted(joined) == sorted(t.index_edges), (tag, start)
+
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    def test_mode_tables(self, data, mode):
+        """Per mode: the mode's templates, and for every set of nets that
+        ``target_nets`` gives a pair of the mode, and for no edge, that set
+        plus the nets one more template arrow turns into it."""
+        tables = data.modes[mode]
+        assert tables.templates == tuple(data.template(tag) for tag in data.tags_for_mode(mode))
+        steps = {
+            net_with_arrow({}, a, b, w)[1]
+            for template in tables.templates
+            for _, _, w in template.index_edges
+            for a, b in ((0, 1), (1, 0))
+        }
+
+        def reachable(nets):
+            return nets | {(u - du, h - dh) for u, h in nets for du, dh in steps}
+
+        targets = {NO_EDGE}
+        for weight in ALLOWED_WEIGHTS[mode]:
+            for edge in ((0, 1, weight), (1, 0, weight)):
+                targets.update(target_nets(make_diagram(2, [edge], mode)).values())
+        assert len(targets) == 1 + 2 * len(ALLOWED_WEIGHTS[mode])
+        for nets in targets:
+            assert tables.open_nets[nets] == reachable(nets), nets
 
 
 class TestPieces:

@@ -10,11 +10,13 @@ import pytest
 
 from blockdec import decompose
 from blockdec.blocks import BLACK, BlockDataError, load_block_data, parse_block_data
-from blockdec.catalog import catalog_entry
-from blockdec.decompose import enumerate_decompositions, is_decomposable
+from blockdec.catalog import catalog_entry, load_catalog
+from blockdec.decompose import (
+    DecomposeResult, SearchStats, enumerate_decompositions, is_decomposable,
+)
 from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, relabel_diagram
 from blockdec.gluing import BlockInstance, Plan, glue, plan_key
-from blockdec.oracle import enumerate_plans
+from blockdec.oracle import enumerate_plans, random_plan
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +338,8 @@ class TestDisjointUnions:
         result = enumerate_decompositions(target, data)
         assert result.plans == () and not result.truncated
         assert not is_decomposable(target, data)
+        # The search stops at the isolated node, the last part.
+        assert [(s.nodes, s.plans) for s in result.stats] == [(2, 1), (3, 2), (1, 0)]
 
 
     def test_isolated_part_is_searched_last(self, data, monkeypatch):
@@ -370,6 +374,49 @@ class TestDisjointUnions:
             "quiver|Spike:1,3;Spike:2,4;Spike:5,6;Spike:6,5;Spike:7,8;Spike:8,7;"
             "Triangle:0,1,3;Triangle:0,2,4",
         ]
+
+
+def stats_totals(results):
+    return {
+        name: sum(getattr(stats, name) for result in results for stats in result.stats)
+        for name in SearchStats.__dataclass_fields__
+    }
+
+
+class TestSearchStats:
+    def test_catalog_totals(self, data):
+        """The counts depend on the search tree alone, so a change to the
+        search that keeps the tree keeps them."""
+        results = [enumerate_decompositions(e.diagram, data) for e in load_catalog()]
+        assert len(results) == 18
+        assert stats_totals(results) == {
+            "nodes": 76, "states": 234, "dedup_hits": 37, "expansions": 204,
+            "dead_ends": 73, "placements": 305, "stranded": 0, "plans": 48,
+        }
+
+    def test_random_plan_totals(self, data):
+        rng = Random(2024)
+        results = []
+        for i in range(40):
+            plan = random_plan(data, QUIVER if i % 2 else S_DIAGRAM, rng)
+            results.append(enumerate_decompositions(glue(data, plan).diagram, data))
+        assert stats_totals(results) == {
+            "nodes": 328, "states": 716, "dedup_hits": 68, "expansions": 676,
+            "dead_ends": 415, "placements": 957, "stranded": 0, "plans": 105,
+        }
+
+    def test_one_record_per_part_in_search_order(self, data):
+        # A two-in two-out star (3 plans), then four isolated nodes (3 plans).
+        target = make_diagram(9, [(0, 1, 1), (0, 2, 1), (3, 0, 1), (4, 0, 1)])
+        result = enumerate_decompositions(target, data)
+        assert [(s.nodes, s.plans) for s in result.stats] == [(5, 3), (4, 3)]
+        for s in result.stats:
+            # Every pushed state is complete, and a plan, or expanded; the
+            # root is expanded too.
+            assert s.states == s.plans + s.expansions - 1
+            assert s.dead_ends < s.expansions and s.stranded <= s.placements
+        # The counts do not take part in comparing results.
+        assert result == DecomposeResult(result.plans, result.truncated)
 
 
 @pytest.fixture

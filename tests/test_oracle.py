@@ -297,6 +297,26 @@ class TestDifferential:
             assert found == index.closed_plans(diagram, data), dkey
         assert disconnected > 0
 
+    @pytest.mark.parametrize("mode, keys", [(QUIVER, 484), (S_DIAGRAM, 1438)])
+    def test_decomposer_matches_oracle_on_connected_six_node_keys(self, data, mode, keys):
+        """Every connected diagram the oracle indexes on at most six nodes;
+        six blocks suffice, since a block covers at least two of the twelve
+        slots six nodes offer, and every plan of a connected diagram is
+        overlap-connected, so the connected index holds all of them."""
+        index = build_index(6, mode, data, max_nodes=6, connected=True)
+        checked = 0
+        for dkey in sorted(index.entries):
+            diagram = from_canonical_key(dkey)
+            if not diagram.is_connected():
+                continue
+            found = {
+                canonical_plan(data, p).instances
+                for p in enumerate_decompositions(diagram, data).plans
+            }
+            assert found == index.closed_plans(diagram, data), dkey
+            checked += 1
+        assert checked == keys
+
 
 class TestSweep:
     def test_quiver_sweep_three_nodes(self, data):
