@@ -36,7 +36,7 @@ from .diagram import (
     canonical_key,
     from_canonical_key,
     parse_diagram,
-    reversal_class_key,
+    reverse_diagram,
     serialize_diagram,
 )
 from .gluing import BadInstance, GluingError, glue, parse_plan, plan_key
@@ -287,7 +287,8 @@ def _cmd_sweep(args) -> int:
 
     classes: dict[str, dict[str, int]] = {}
     for key, count in hits.items():
-        rk = reversal_class_key(from_canonical_key(key))
+        # ``key`` is canonical already: only the reversed diagram needs labelling.
+        rk = min(key, canonical_key(reverse_diagram(from_canonical_key(key))))
         classes.setdefault(rk, {})[key] = count
 
     rows = []

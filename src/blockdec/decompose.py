@@ -46,7 +46,7 @@ that glues exactly to the target.  The search is a backtracking enumeration:
 Plans are reported in canonical form, deduplicated modulo template
 automorphisms, sorted by their plan key.  The search also reports its
 counts, one :class:`SearchStats` per part (below): states, dedup hits,
-expansions and dead ends, placements completed and stranded, and plans.
+expansions and dead ends, placements completed, and plans.
 
 The search runs once per *part* of the target: each connected component that
 has edges is a part, and all isolated nodes together form one more part.  A
@@ -118,8 +118,7 @@ class SearchStats:
     dedup_hits: int  # children skipped as reorderings of a visited plan
     expansions: int  # states whose placements were generated
     dead_ends: int  # expansions with no placement
-    placements: int  # placements completed, before the strand test
-    stranded: int  # completed placements cut by the strand test
+    placements: int  # placements completed
     plans: int  # plans found
 
 
@@ -175,7 +174,7 @@ class _Search:
         self.found: set[tuple[BlockInstance, ...]] = set()
         self.truncated = False
         self.states = self.dedup_hits = self.expansions = 0
-        self.dead_ends = self.placements = self.stranded = 0
+        self.dead_ends = self.placements = 0
 
     # -- extension generation ---------------------------------------------------
 
@@ -188,14 +187,21 @@ class _Search:
         step.  A candidate must be unused in the placement and accept the
         label's slot.  A label that closes its node must settle every
         unsettled pair there, so it needs at least as many template edges;
-        labels that fail this are cut at once, and :meth:`_strands` makes
-        the test exact once the block is placed.  Then the pairs of the
-        step's joining edges are checked against the targets; the pairs of
-        earlier steps passed already and cannot change within one
-        extension.  A pair freezes after this block if an endpoint is black
-        in it or covered already, and its net must then be final.
-        Otherwise both endpoints keep one white slot, so at most one more
-        block can add an arrow there.
+        labels that fail this are cut at once.  Then the pairs of the step's
+        joining edges are checked against the targets; the pairs of earlier
+        steps passed already and cannot change within one extension.  A pair
+        freezes after this block if an endpoint is black in it or covered
+        already, and its net must then be final.  Otherwise both endpoints
+        keep one white slot, so at most one more block can add an arrow
+        there.
+
+        No completed placement strands a pair at a node it closes, so none
+        is checked again.  Each template edge at a closing label lands on a
+        pair that freezes with a final net, and no final net set holds two
+        nets one arrow apart, so that pair was unsettled before; templates
+        have no parallel edges, so these pairs are distinct.  The label's
+        edges thus number at most the node's unsettled pairs, and the cut
+        above makes them at least as many: they settle every one.
         """
         state, final, open_nets = self.state, self.final, self.open_nets
         covers, blacks, nets = state.covers, state.blacks, state.nets
@@ -258,13 +264,9 @@ class _Search:
         return [(inst, self._id(inst)) for inst in sorted(out)]
 
     def _complete(self, template: BlockTemplate, nodes: tuple[int, ...], out: set) -> None:
-        """Add the completed placement ``nodes`` to ``out``, canonical, unless
-        it strands an unsettled pair."""
+        """Add the completed placement ``nodes`` to ``out``, canonical."""
         self.placements += 1
-        if self._strands(template, nodes):
-            self.stranded += 1
-        else:
-            out.add(canonical_instance(self.data, BlockInstance(template.tag, nodes)))
+        out.add(canonical_instance(self.data, BlockInstance(template.tag, nodes)))
 
     def _ball(self, node: int) -> tuple[int, ...]:
         """The distance-2 ball of ``node`` without it, ascending, or every
@@ -280,31 +282,6 @@ class _Search:
         if i == len(self.instances):
             self.instances.append(inst)
         return i
-
-    def _strands(self, template: BlockTemplate, nodes: tuple[int, ...]) -> bool:
-        """Would the placement close a node that keeps an unsettled pair?
-
-        A closed node takes no further block, so its pairs never change again:
-        the branch would be dead.  Only the block's own nodes can close, and
-        :meth:`_extensions` has let every pair of the block with a closing
-        end settle, so a closing node keeps exactly its unsettled pairs that
-        the block does not touch.
-        """
-        covers, count, unsettled = self.state.covers, self.unsettled_at, self.unsettled
-        left = {
-            v: count[v]
-            for v, black in zip(nodes, template.blacks)
-            if count[v] and (covers[v] or black)
-        }
-        if not left:
-            return False
-        for f, t, _ in template.index_edges:
-            a, b = nodes[f], nodes[t]
-            if ((a, b) if a < b else (b, a)) in unsettled:
-                for v in (a, b):
-                    if v in left:
-                        left[v] -= 1
-        return any(left.values())
 
     # -- search state -----------------------------------------------------------
 
@@ -415,7 +392,7 @@ def _part_plans(
     plans = sorted(search.found)
     stats = SearchStats(
         len(nodes), search.states, search.dedup_hits, search.expansions,
-        search.dead_ends, search.placements, search.stranded, len(plans),
+        search.dead_ends, search.placements, len(plans),
     )
     if part is not diagram:
         plans = [

@@ -15,15 +15,15 @@ matrices), ``s`` additionally allows weight 2 (skew-symmetrizable matrices).
 The module provides validated construction, exchange-matrix conversion both
 ways, a deterministic canonical form (iterative refinement plus an
 individualize-and-refine search, adequate for the desk-scale n <= ~20 this
-package targets), automorphism enumeration for small diagrams, and the text
+package targets) whose search also yields generators of the automorphism
+group, the group enumerated from them for small diagrams, and the text
 formats used by the CLI.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 QUIVER = "quiver"
 S_DIAGRAM = "s"
@@ -349,62 +349,123 @@ def _swap_invariant(emap: dict[tuple[int, int], int], u: int, v: int) -> bool:
     return {(sw(s), sw(t)): w for (s, t), w in emap.items()} == emap
 
 
-def _canonical_order(n: int, emap: dict[tuple[int, int], int]) -> tuple[list[int], tuple]:
+def _transposition(n: int, u: int, v: int) -> tuple[int, ...]:
+    perm = list(range(n))
+    perm[u], perm[v] = v, u
+    return tuple(perm)
+
+
+def orbit(seeds: Iterable, generators: Iterable[tuple[int, ...]], act: Callable) -> set:
+    """The least set holding ``seeds`` and closed under ``act(g, x)``, the
+    image of ``x`` under each generator ``g``: for a finite group, the union
+    of the orbits of the seeds under the group the generators generate."""
+    generators = list(generators)
+    closed = set(seeds)
+    stack = list(closed)
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            image = act(g, x)
+            if image not in closed:
+                closed.add(image)
+                stack.append(image)
+    return closed
+
+
+def _canonical_order(
+    n: int, emap: dict[tuple[int, int], int]
+) -> tuple[list[int], tuple, list[tuple[int, ...]]]:
     """Vertex order minimizing the edge encoding (non-isolated vertices
-    first), and that minimal encoding: the sorted ``(src, dst, weight)``
-    triples of ``emap`` relabelled by position in the order."""
+    first); that minimal encoding, the sorted ``(src, dst, weight)`` triples
+    of ``emap`` relabelled by position in the order; and generators of the
+    automorphism group, each a permutation ``g`` moving ``v`` to ``g[v]``.
+
+    The search refines, then individualizes each vertex of the first
+    non-singleton cell in increasing order and recurses; the first leaf
+    with the least encoding gives the order.  Two leaves with equal
+    encodings differ by an automorphism: the map from the best leaf to each
+    later one is a generator, and so are the transpositions of a cell whose
+    vertices are pairwise interchangeable and of consecutive isolated
+    vertices.  A vertex in the orbit of an explored sibling under the
+    generators that fix the individualized path is skipped: its subtree is
+    the image of the sibling's, whose leaves carry the same encodings and
+    come first, so the first least leaf is never skipped.  Each skipped leaf
+    with the least encoding is thus the image of a visited one, the
+    generators act transitively on those leaves, and since exactly one
+    automorphism maps the best leaf to each of them, they generate the whole
+    group (McKay 1981; McKay and Piperno 2014).
+    """
     touched_set = {v for e in emap for v in e}
     touched = sorted(touched_set)
     isolated = [v for v in range(n) if v not in touched_set]
+    shuffles = [_transposition(n, u, v) for u, v in zip(isolated, isolated[1:])]
     if not touched:
-        return isolated, ()
-    colors = [0] * n
-    colors = _refine(n, emap, colors)
+        return isolated, (), shuffles
+    found: dict[tuple[int, ...], None] = {}  # generators on the touched part, in order
+    best_enc: Optional[tuple] = None
+    best_order: list[int] = []
 
-    best: dict[str, Optional[tuple]] = {"enc": None, "order": None}
-
-    def rec(colors: list[int]) -> None:
+    def rec(colors: list[int], path: tuple[int, ...]) -> None:
+        nonlocal best_enc, best_order
         cells = _cells(colors, touched)
         target = next((c for c in cells if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
             enc = _encode(emap, order)
-            if best["enc"] is None or enc < best["enc"]:
-                best["enc"], best["order"] = enc, tuple(order)
+            if best_enc is None or enc < best_enc:
+                best_enc, best_order = enc, order
+            elif enc == best_enc and order != best_order:
+                aut = list(range(n))
+                for old, new in zip(best_order, order):
+                    aut[old] = new
+                found.setdefault(tuple(aut))
             return
-        candidates = target
-        # Cells of pairwise interchangeable vertices need only one branch.
-        if all(_swap_invariant(emap, target[0], u) for u in target[1:]):
-            candidates = target[:1]
+        first, candidates = target[0], target
+        if all(_swap_invariant(emap, first, u) for u in target[1:]):
+            for u in target[1:]:
+                found.setdefault(_transposition(n, first, u))
+            candidates = target[:1]  # the rest lie in its orbit
         mark = max(colors) + 1
+        explored: list[int] = []
         for v in candidates:
+            if explored and found:
+                fixing = (g for g in found if all(g[p] == p for p in path))
+                if v in orbit(explored, fixing, tuple.__getitem__):
+                    continue
+            explored.append(v)
             child = list(colors)
             child[v] = mark
-            rec(_refine(n, emap, child))
+            rec(_refine(n, emap, child), path + (v,))
 
-    rec(colors)
-    assert best["order"] is not None
-    return list(best["order"]) + isolated, best["enc"]
+    rec(_refine(n, emap, [0] * n), ())
+    return best_order + isolated, best_enc, list(found) + shuffles
 
 
-def canonical_form(d: Diagram) -> tuple[str, tuple[int, ...]]:
-    """Canonical key and the old->new relabeling achieving it.
+class CanonicalForm(NamedTuple):
+    key: str
+    relabel: tuple[int, ...]  # old -> new
+    generators: tuple[tuple[int, ...], ...]  # of the automorphism group, old -> old
+
+
+def canonical_form(d: Diagram) -> CanonicalForm:
+    """Canonical key, the old->new relabeling achieving it, and generators
+    of the diagram's automorphism group, from one search.
 
     Two diagrams have equal keys iff they are isomorphic as directed weighted
     graphs in the same mode.  Isolated nodes are placed after the canonical
     order of the edge-bearing part, so the minimal encoding of that part
     relabels its edges exactly as the returned relabeling does.
     """
-    order, enc = _canonical_order(d.node_count, d.edge_map())
+    order, enc, generators = _canonical_order(d.node_count, d.edge_map())
     relabel = [0] * d.node_count
     for new, old in enumerate(order):
         relabel[old] = new
     key = f"{d.mode}|{d.node_count}|" + ";".join(f"{s}>{t}*{w}" for s, t, w in enc)
-    return key, tuple(relabel)
+    return CanonicalForm(key, tuple(relabel), tuple(generators))
 
 
 def canonical_key(d: Diagram) -> str:
-    return canonical_form(d)[0]
+    return canonical_form(d).key
 
 
 def relabel_diagram(d: Diagram, relabel: Sequence[int]) -> Diagram:
@@ -434,27 +495,17 @@ def from_canonical_key(key: str) -> Diagram:
 
 
 def automorphisms(d: Diagram) -> list[tuple[int, ...]]:
-    """All node permutations preserving the diagram.
+    """All node permutations preserving the diagram, ``perm[v]`` the image of
+    node v, in increasing order: the group generated by the generators that
+    :func:`canonical_form` finds.
 
-    Intended for desk-scale diagrams: isolated nodes share one refinement cell
-    and contribute a full symmetric group, so the cell product grows with the
-    factorial of the largest cell.
+    The list holds the whole group, so it grows with the factorial of the
+    number of isolated nodes and of equal components; closing a set under
+    the group needs the generators only.
     """
-    n = d.node_count
-    emap = d.edge_map()
-    if n <= 1:
-        return [tuple(range(n))]
-    colors = _refine(n, emap, [0] * n)
-    cells = _cells(colors, list(range(n)))
-    result = []
-    for combo in itertools.product(*(itertools.permutations(c) for c in cells)):
-        perm = [0] * n
-        for cell, image in zip(cells, combo):
-            for old, new in zip(cell, image):
-                perm[old] = new
-        if {(perm[s], perm[t]): w for (s, t), w in emap.items()} == emap:
-            result.append(tuple(perm))
-    return result
+    generators = _canonical_order(d.node_count, d.edge_map())[2]
+    compose = lambda g, perm: tuple([g[v] for v in perm])  # noqa: E731
+    return sorted(orbit([tuple(range(d.node_count))], generators, compose))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ plan per entry, so it reaches every plan up to isomorphism, but not every
 automorphic image of one.  The index lives in memory only.  Looking a diagram
 up closes the stored plans under the diagram's automorphisms, which restores
 those images: one abstract plan can stand for several concrete placements on
-a symmetric diagram.
+a symmetric diagram.  The closure is an orbit search under the generators of
+the automorphism group that the canonical labelling finds in the same search
+as the key, so the group itself is never listed.
 
 The full index, over every plan, is the differential tests' ground truth.
 ``sweep`` needs connected diagrams only, so it indexes overlap-connected plans
 alone, where each block after the first shares a node with an earlier one:
 every connected diagram keeps all its entries, and about half the children
-are never built.
+are never built.  It keeps, for each key at first sight, the generators and
+whether the diagram is connected, so it never rebuilds a diagram from its key.
 
 The decomposition search in :mod:`blockdec.decompose` can then be audited
 against ground truth that was produced without any of its pruning logic.
@@ -25,15 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Iterable
 
 from .blocks import WHITE, BlockData, load_block_data
-from .diagram import (
-    Diagram,
-    automorphisms,
-    canonical_form,
-    from_canonical_key,
-    relabel_diagram,
-)
+from .diagram import Diagram, canonical_form, orbit
 from .gluing import (
     BlockInstance,
     GlueState,
@@ -43,6 +41,7 @@ from .gluing import (
 )
 
 PlanTuple = tuple[BlockInstance, ...]
+Generators = tuple[tuple[int, ...], ...]
 
 
 def enumerate_plans(
@@ -52,10 +51,11 @@ def enumerate_plans(
     max_nodes: int,
     connected: bool = False,
 ):
-    """Yield ``(plan, diagram, key, canonical)`` for one gluable plan of each
-    entry, over plans with at most ``max_blocks`` instances on at most
-    ``max_nodes`` abstract nodes: the plan, its glued diagram, and its entry,
-    the diagram's canonical key with the plan in canonical coordinates.
+    """Yield ``(plan, diagram, key, canonical, generators)`` for one gluable
+    plan of each entry, over plans with at most ``max_blocks`` instances on at
+    most ``max_nodes`` abstract nodes: the plan, its glued diagram, its entry
+    (the diagram's canonical key with the plan in canonical coordinates), and
+    generators of the automorphism group of the diagram the key spells out.
 
     Nodes are numbered in first-use order.  Any occupancy-legal placement
     glues, so enumeration only reads slot usage from its gluing state: a
@@ -145,11 +145,11 @@ def enumerate_plans(
             m = max(n, max(inst.nodes) + 1)
             state.push(inst)
             diagram = state.glued(mode, m).diagram
-            key, relabel = canonical_form(diagram)
+            key, relabel, generators = canonical_form(diagram)
             entry = (key, _mapped(data, child, relabel))
             if entry not in visited:
                 visited.add(entry)
-                yield found, diagram, *entry
+                yield found, diagram, *entry, _conjugated(generators, relabel)
                 yield from dfs(child, m)
             state.pop()
 
@@ -159,19 +159,34 @@ def enumerate_plans(
 def _mapped(data: BlockData, instances: PlanTuple, mapping: tuple[int, ...]) -> PlanTuple:
     """``instances`` with every node v moved to ``mapping[v]``, each instance
     canonical, sorted: the form the decomposer's plans take."""
-    return tuple(sorted(
-        canonical_instance(data, BlockInstance(i.tag, tuple(mapping[v] for v in i.nodes)))
+    templates = data.templates
+    return tuple(sorted([
+        BlockInstance(
+            i.tag, templates[i.tag].canonical_assignment(tuple([mapping[v] for v in i.nodes]))
+        )
         for i in instances
-    ))
+    ]))
+
+
+def _conjugated(generators: Generators, relabel: tuple[int, ...]) -> Generators:
+    """``generators`` carried into the coordinates ``relabel`` maps to."""
+    out = []
+    for g in generators:
+        image = [0] * len(g)
+        for v, w in enumerate(g):
+            image[relabel[v]] = relabel[w]
+        out.append(tuple(image))
+    return tuple(out)
 
 
 def _closure(
-    data: BlockData, stored: frozenset[PlanTuple], diagram: Diagram
+    data: BlockData, stored: Iterable[PlanTuple], generators: Generators
 ) -> frozenset[PlanTuple]:
-    """``stored``, plans on ``diagram`` in the canonical coordinates its key
-    spells out, closed under the diagram's automorphisms."""
-    auts = automorphisms(diagram)
-    return frozenset(_mapped(data, plan, aut) for plan in stored for aut in auts)
+    """``stored``, plans on a diagram in the canonical coordinates its key
+    spells out, closed under the automorphism group that ``generators``, in
+    the same coordinates, generate: the orbits of the stored plans, found by
+    mapping each plan reached under each generator until no new plan comes."""
+    return frozenset(orbit(stored, generators, lambda g, plan: _mapped(data, plan, g)))
 
 
 @dataclass(frozen=True)
@@ -189,14 +204,16 @@ class OracleIndex:
         self, diagram: Diagram, data: BlockData | None = None
     ) -> frozenset[PlanTuple]:
         """All decompositions of ``diagram`` in its canonical coordinates,
-        closed under the diagram's automorphisms."""
-        key, relabel = canonical_form(diagram)
+        closed under the diagram's automorphisms, whose generators come
+        from the same :func:`~blockdec.diagram.canonical_form` call that
+        finds the key."""
+        key, relabel, generators = canonical_form(diagram)
         stored = self.entries.get(key, frozenset())
         if not stored:
             return frozenset()
         if data is None:
             data = load_block_data()
-        return _closure(data, stored, relabel_diagram(diagram, relabel))
+        return _closure(data, stored, _conjugated(generators, relabel))
 
 
 def build_index(
@@ -219,7 +236,7 @@ def build_index(
     if max_nodes is None:
         max_nodes = 5 * max_blocks
     entries: dict[str, set[PlanTuple]] = {}
-    for _, _, key, canonical in enumerate_plans(data, mode, max_blocks, max_nodes, connected):
+    for _, _, key, canonical, _ in enumerate_plans(data, mode, max_blocks, max_nodes, connected):
         entries.setdefault(key, set()).add(canonical)
     return OracleIndex(
         mode, max_blocks, max_nodes,
@@ -236,21 +253,26 @@ def sweep_nonunique(
     inequivalent decompositions: canonical key -> decomposition count.
 
     Only connected diagrams are reported, and every plan of one is
-    overlap-connected, so the index is built from those plans alone; the
-    keys it still holds with a disconnected diagram are dropped here."""
+    overlap-connected, so only those plans are enumerated, as
+    :func:`build_index` does with ``connected``.  The first plan of each key
+    tells whether its diagram is connected and brings the generators its
+    plans are closed under; the plans of a disconnected one are dropped."""
     if data is None:
         data = load_block_data()
-    index = build_index(
-        max_blocks=max_nodes, mode=mode, data=data, max_nodes=max_nodes, connected=True
-    )
+    plans: dict[str, set[PlanTuple]] = {}
+    groups: dict[str, Generators | None] = {}  # None: the diagram is disconnected
+    for _, diagram, key, canonical, generators in enumerate_plans(
+        data, mode, max_nodes, max_nodes, connected=True
+    ):
+        if key not in groups:
+            groups[key] = generators if diagram.is_connected() else None
+        if groups[key] is not None:
+            plans.setdefault(key, set()).add(canonical)
     result: dict[str, int] = {}
-    for dkey, stored in index.entries.items():
-        diagram = from_canonical_key(dkey)
-        if not diagram.is_connected():
-            continue
-        count = len(_closure(data, stored, diagram))
+    for key, stored in plans.items():
+        count = len(_closure(data, stored, groups[key]))
         if count >= 2:
-            result[dkey] = count
+            result[key] = count
     return result
 
 

@@ -133,7 +133,7 @@ def test_criterion_3_oracle_equivalence():
         total += 1
         # closed_plans answers in the diagram's canonical coordinates; map the
         # decomposer's plans through the same relabelling before comparing.
-        _, relabel = canonical_form(diagram)
+        relabel = canonical_form(diagram).relabel
         expected = index.closed_plans(diagram, DATA)
         found = set()
         for p in enumerate_decompositions(diagram, DATA).plans:

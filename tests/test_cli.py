@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,28 @@ def test_decompose_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE))
     code, out, _ = run(capsys, "decompose", "-")
     assert code == 0 and "count 2" in out
+
+
+def test_decompose_disjoint_three_cycles(capsys, tmp_path):
+    """Six disjoint oriented 3-cycles, labelled in order and at random: each
+    has 2**6 plans and prints the same diagram key, which the canonical
+    labelling finds without walking every equal component's labellings."""
+    perm = list(range(18))
+    random.Random(6).shuffle(perm)
+    keys = []
+    for label in (list(range(18)), perm):
+        path = tmp_path / f"cycles{len(keys)}.txt"
+        path.write_text("nodes 18\n" + "".join(
+            f"edge {label[3 * c + i]} {label[3 * c + (i + 1) % 3]} 1\n"
+            for c in range(6)
+            for i in range(3)
+        ))
+        code, out, _ = run(capsys, "decompose", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert "count 64" in lines
+        keys.append(next(line for line in lines if line.startswith("diagram ")))
+    assert keys[0] == keys[1]
 
 
 def test_decompose_negative_result(capsys, tmp_path):

@@ -14,6 +14,8 @@ from blockdec.diagram import (
     QUIVER,
     S_DIAGRAM,
     TwoCycle,
+    _cells,
+    _refine,
     automorphisms,
     canonical_form,
     canonical_key,
@@ -206,7 +208,7 @@ class TestCanonicalForm:
 
     def test_relabeling_achieves_key(self):
         d = make_diagram(4, [(3, 0, 1), (0, 1, 1), (1, 3, 4), (3, 2, 1), (2, 1, 1)], QUIVER)
-        key, relabel = canonical_form(d)
+        key, relabel, _ = canonical_form(d)
         assert canonical_key(relabel_diagram(d, relabel)) == key
 
     def test_random_permutation_invariance(self):
@@ -270,7 +272,71 @@ class TestReversal:
         assert reversal_class_key(infork) == reversal_class_key(outfork)
 
 
+def brute_automorphisms(d: Diagram) -> set[tuple[int, ...]]:
+    """Reference: every permutation within the refinement cells that keeps
+    the edge map, ``perm[v]`` the image of v."""
+    n = d.node_count
+    emap = d.edge_map()
+    cells = _cells(_refine(n, emap, [0] * n), list(range(n)))
+    result = set()
+    for combo in itertools.product(*(itertools.permutations(c) for c in cells)):
+        perm = [0] * n
+        for cell, image in zip(cells, combo):
+            for old, new in zip(cell, image):
+                perm[old] = new
+        if {(perm[s], perm[t]): w for (s, t), w in emap.items()} == emap:
+            result.add(tuple(perm))
+    return result
+
+
+def random_symmetric_diagram(rng: random.Random, mode: str) -> Diagram:
+    """At most seven nodes: one random component repeated up to three times,
+    maybe a second random component, isolated nodes, all shuffled."""
+    weights = [1, 1, 4] if mode == QUIVER else [1, 2, 4]
+
+    def component(size):
+        return [
+            (i, j, rng.choice(weights)) if rng.random() < 0.5 else (j, i, rng.choice(weights))
+            for i in range(size)
+            for j in range(i + 1, size)
+            if rng.random() < 0.6
+        ]
+
+    size = rng.randint(1, 3)
+    shape = component(size)
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 7 // size)):
+        edges += [(a + n, b + n, w) for a, b, w in shape]
+        n += size
+    if n <= 4 and rng.random() < 0.5:
+        extra = rng.randint(2, 7 - n)
+        edges += [(a + n, b + n, w) for a, b, w in component(extra)]
+        n += extra
+    n += rng.randint(0, 7 - n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return make_diagram(n, [(perm[a], perm[b], w) for a, b, w in edges], mode)
+
+
 class TestAutomorphisms:
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    def test_generated_group_is_the_brute_force_one(self, mode):
+        """The group enumerated from canonical_form's generators equals the
+        brute-force product over refinement cells, on diagrams with repeated
+        equal components and isolated nodes."""
+        rng = random.Random(13 if mode == QUIVER else 14)
+        repeated = lonely = 0
+        for _ in range(120):
+            d = random_symmetric_diagram(rng, mode)
+            group = automorphisms(d)
+            assert len(group) == len(set(group))
+            assert set(group) == brute_automorphisms(d), serialize_diagram(d)
+            assert set(canonical_form(d).generators) <= set(group)
+            sizes = [len(c) for c in d.components()]
+            repeated += any(sizes.count(k) > 1 for k in sizes if k > 1)
+            lonely += sizes.count(1) > 1
+        assert repeated > 20 and lonely > 20
+
     def test_cycle3(self):
         auts = automorphisms(cycle3())
         assert len(auts) == 3  # C3

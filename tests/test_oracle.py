@@ -1,10 +1,13 @@
 """Tests for the brute-force oracle: enumeration, index, closure."""
 
+import hashlib
 from random import Random
 
 import pytest
 
+from blockdec import oracle
 from blockdec.blocks import WHITE, load_block_data
+from blockdec.catalog import load_catalog
 from blockdec.decompose import enumerate_decompositions
 from blockdec.diagram import (
     QUIVER,
@@ -86,7 +89,7 @@ def reference_entries(data, mode, max_blocks, max_nodes):
     reference: dict[str, set] = {}
     for plan in labelled_plans(data, mode, max_blocks, max_nodes):
         diagram = glue(data, plan).diagram
-        _, relabel = canonical_form(diagram)
+        relabel = canonical_form(diagram).relabel
         edges = relabel_diagram(diagram, relabel).edges
         key = f"{mode}|{diagram.node_count}|" + ";".join(
             f"{e.src}>{e.dst}*{e.weight}" for e in edges
@@ -178,7 +181,7 @@ class TestEnumeration:
         max_nodes = 3 * max(t.size for t in data.templates.values())
         reference = reference_entries(data, mode, 3, max_nodes)
         entries = set()
-        for plan, diagram, key, canonical in enumerate_plans(data, mode, 3, max_nodes):
+        for plan, diagram, key, canonical, _ in enumerate_plans(data, mode, 3, max_nodes):
             assert diagram == glue(data, plan).diagram, plan_key(data, plan)
             assert key == canonical_key(diagram)
             assert canonical in reference[key], plan_key(data, plan)
@@ -340,6 +343,34 @@ class TestSweep:
     def test_sweep_keys_round_trip(self, data):
         for dkey in sweep_nonunique(3, QUIVER, data):
             assert canonical_key(from_canonical_key(dkey)) == dkey
+
+
+class TestCanonicalLabelling:
+    def test_keys_and_relabellings_are_pinned(self, data, monkeypatch):
+        """canonical_form's key and relabelling on every child diagram the
+        sweeps at quiver 6 and s 5 label, then on every catalog entry, hashed
+        together.  The digest was taken while the labelling search still
+        walked every branch that pairwise interchangeable cells leave, so
+        pruning by automorphism orbits moves neither."""
+        children = []
+        label = oracle.canonical_form
+
+        def recording(diagram):
+            children.append(diagram)
+            return label(diagram)
+
+        monkeypatch.setattr(oracle, "canonical_form", recording)
+        sweep_nonunique(6, QUIVER, data)
+        sweep_nonunique(5, S_DIAGRAM, data)
+        monkeypatch.undo()
+        assert len(children) == 2511
+        digest = hashlib.sha256()
+        for diagram in children + [entry.diagram for entry in load_catalog()]:
+            key, relabel, _ = canonical_form(diagram)
+            digest.update(f"{key} {relabel}\n".encode())
+        assert digest.hexdigest() == (
+            "40917a9ad4716c62d75d5a514abb792cef030b64aae38a305a2eeb38001385b5"
+        )
 
 
 class TestRandomPlans:
