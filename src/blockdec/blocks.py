@@ -177,14 +177,31 @@ class ModeTables:
     open_nets: dict[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]
 
 
+class PieceTables(NamedTuple):
+    """A template's piece on integer ids, compiled when the data loads.
+
+    Vertices and sides are numbered in declaration order.  Per side:
+    ``(tail, head, is_arc, label)``, ``label`` the position of the template
+    label an arc carries (``-1`` for a boundary segment).  Faces are
+    ``(side, direction)`` slots; an outlet is ``(label, side, direction)``,
+    the direction that of its single face slot.
+    """
+
+    vertex_count: int
+    sides: tuple[tuple[int, int, bool, int], ...]
+    faces: tuple[tuple[tuple[int, int], ...], ...]
+    outlets: tuple[tuple[int, int, int], ...]
+
+
 @dataclass(frozen=True)
 class BlockData:
-    """All templates and pieces from one data file, and per mode the
-    decomposer's tables."""
+    """All templates and pieces from one data file; per mode the
+    decomposer's tables, and per template tag its piece's tables."""
 
     templates: dict[str, BlockTemplate]
     pieces: dict[str, Piece]
     modes: dict[str, ModeTables] = field(default_factory=dict, compare=False, repr=False)
+    piece_tables: dict[str, PieceTables] = field(default_factory=dict, compare=False, repr=False)
 
     def template(self, tag: str) -> BlockTemplate:
         try:
@@ -269,6 +286,24 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
         degrees=tuple(len(near) for near in adjacency),
         image_getters=images,
         placement_orders=tuple(orders),
+    )
+
+
+def _compile_piece(template: BlockTemplate, piece: Piece) -> PieceTables:
+    """``piece`` on integer ids, its arcs' labels as positions in ``template``."""
+    vertex = {v: i for i, v in enumerate(piece.vertices)}
+    side = {s.sid: i for i, s in enumerate(piece.sides)}
+    label = {l: i for i, l in enumerate(template.labels)}
+    faces = tuple(tuple((side[sid], d) for sid, d in face) for face in piece.faces)
+    direction = {sid: d for face in faces for sid, d in face}  # an outlet has one slot
+    return PieceTables(
+        len(piece.vertices),
+        tuple(
+            (vertex[s.tail], vertex[s.head], s.is_arc, label[s.label] if s.is_arc else -1)
+            for s in piece.sides
+        ),
+        faces,
+        tuple((label[l], side[sid], direction[side[sid]]) for l, sid in piece.outlets),
     )
 
 
@@ -449,6 +484,9 @@ def _validate_piece(piece: Piece) -> None:
                 raise BlockDataError(f"piece {pid}: side {s.sid} uses undeclared vertex {v!r}")
         if s.kind == "bseg" and s.is_loop:
             raise BlockDataError(f"piece {pid}: boundary segment {s.sid} may not be a loop")
+    lone = set(piece.vertices).difference(*((s.tail, s.head) for s in piece.sides))
+    if lone:
+        raise BlockDataError(f"piece {pid}: vertex {min(lone)!r} lies on no side")
 
     for face in piece.faces:
         if len(face) != 3:
@@ -575,7 +613,11 @@ def parse_block_data(text: str) -> BlockData:
 
     data = BlockData(templates=templates, pieces=pieces)
     _check_part_lemma(data)
-    return replace(data, modes={mode: _compile_mode(data, mode) for mode in MODES})
+    return replace(
+        data,
+        modes={mode: _compile_mode(data, mode) for mode in MODES},
+        piece_tables={tag: _compile_piece(t, pieces[t.piece_id]) for tag, t in templates.items()},
+    )
 
 
 def _data_text(filename: str) -> str:

@@ -1,12 +1,16 @@
 """Assembling the triangulated surface of a decomposition.
 
-Each block instance contributes a copy of its template's triangulated piece.
+Each block instance contributes a copy of its template's triangulated piece,
+read from the tables compiled when the block data loads
+(:class:`~blockdec.blocks.PieceTables`); its vertices and sides are numbered
+after those of the instances before it, so every id is an int.
 Whenever two instances share a (white) diagram node, their outlet arcs are
 identified; each face slot keeps counter-clockwise orientation, so the two
 faces must traverse the merged arc in opposite directions -- if both stored
 traversals agree, the identification reverses the arc (tail to head).  A node
 covered once through a white slot keeps a boundary outlet; it is *capped* by a
-triangle attached along the outlet with two fresh boundary segments.
+triangle attached along the outlet with two fresh boundary segments, which
+take the next free ids.
 
 The result is a closed-or-bordered triangulated surface.  Its invariants:
 
@@ -26,12 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import WHITE, BlockData, load_block_data
-from .diagram import QUIVER
+from .blocks import WHITE, BlockData
+from .diagram import QUIVER, Diagram
 from .gluing import Plan, glue
 
-Vertex = tuple  # namespaced vertex id
-SideId = tuple  # namespaced side id
 Slot = tuple  # (side id, +1 | -1)
 
 
@@ -71,55 +73,31 @@ class SurfaceInvariants:
         return (self.genus, self.boundary)
 
     def as_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "boundary": self.boundary,
-            "punctures": self.punctures,
-            "boundary_marked": list(self.boundary_marked),
-            "chi": self.chi,
-            "triangles": self.triangles,
-            "arcs": self.arcs,
-        }
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb, key=repr)] = min(ra, rb, key=repr)
+        return {**vars(self), "boundary_marked": list(self.boundary_marked)}
 
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A glued triangulated surface with boundary."""
+    """A glued triangulated surface with boundary.
+
+    :func:`assemble` numbers vertices and sides with ints.  The checks and
+    invariants need only hashable ids, and no order on them.
+    """
 
     mode: str
-    vertices: tuple[Vertex, ...]
-    arc_ends: dict[SideId, tuple[Vertex, Vertex]]  # tail, head (resolved)
-    bseg_ends: dict[SideId, tuple[Vertex, Vertex]]
+    vertices: tuple[int, ...]  # one id per glued vertex
+    arc_ends: dict[int, tuple[int, int]]  # side id -> tail, head (glued)
+    bseg_ends: dict[int, tuple[int, int]]
     faces: tuple[tuple[Slot, Slot, Slot], ...]
-    node_arc: dict[int, SideId]  # diagram node -> its arc (quiver mode)
-
-    def _slots_by_side(self) -> dict[SideId, list[int]]:
-        slots: dict[SideId, list[int]] = {}
-        for face in self.faces:
-            for sid, direction in face:
-                slots.setdefault(sid, []).append(direction)
-        return slots
+    node_arc: dict[int, int]  # diagram node -> its arc (quiver mode)
+    diagram: Diagram  # what the plan glues to
 
     def validate(self) -> None:
         side_ends = {**self.arc_ends, **self.bseg_ends}
-        slots = self._slots_by_side()
+        slots: dict[int, list[int]] = {}
+        for face in self.faces:
+            for sid, direction in face:
+                slots.setdefault(sid, []).append(direction)
 
         for sid in side_ends:
             used = slots.get(sid, [])
@@ -137,11 +115,9 @@ class Triangulation:
                 raise NonSurfaceComplex(f"face references unknown side {sid}")
 
         for face in self.faces:
-            walk = [
-                side_ends[sid] if d > 0 else side_ends[sid][::-1] for sid, d in face
-            ]
-            for (_, head), (tail, _) in zip(walk, walk[1:] + walk[:1]):
-                if head != tail:
+            # Each traversal finishes where the next one starts.
+            for (s1, d1), (s2, d2) in zip(face, face[1:] + face[:1]):
+                if side_ends[s1][d1 > 0] != side_ends[s2][d2 <= 0]:
                     raise NonSurfaceComplex(f"face {face} does not close up")
 
         self._validate_links(side_ends)
@@ -156,40 +132,42 @@ class Triangulation:
     def _validate_links(self, side_ends) -> None:
         """Each vertex link must be a single circle (interior vertex) or a
         single path whose ends are boundary-segment ends."""
-        # Link nodes are side-ends; corners of faces join them.
-        adjacency: dict[tuple, list[tuple]] = {}
-        incident: dict[Vertex, set[tuple]] = {}
-        for sid, (tail, head) in side_ends.items():
-            incident.setdefault(tail, set()).add((sid, 0))
-            incident.setdefault(head, set()).add((sid, 1))
+        # Link nodes are side-ends, 2i + 0 (tail) and 2i + 1 (head) of the
+        # i-th side; corners of faces join them.
+        first = {sid: 2 * i for i, sid in enumerate(side_ends)}
+        links: list[list[int]] = [[] for _ in range(2 * len(first))]
         for face in self.faces:
             for (s1, d1), (s2, d2) in zip(face, face[1:] + face[:1]):
-                end1 = (s1, 1 if d1 > 0 else 0)  # traversal finishes here
-                end2 = (s2, 0 if d2 > 0 else 1)  # next traversal starts here
-                adjacency.setdefault(end1, []).append(end2)
-                adjacency.setdefault(end2, []).append(end1)
+                end1 = first[s1] + (d1 > 0)  # traversal finishes here
+                end2 = first[s2] + (d2 <= 0)  # next traversal starts here
+                links[end1].append(end2)
+                links[end2].append(end1)
+        part = [-1] * len(links)  # per end, the least end it is linked to
+        for end in range(len(links)):
+            if part[end] < 0:
+                part[end], queue = end, [end]
+                while queue:
+                    for nxt in links[queue.pop()]:
+                        if part[nxt] < 0:
+                            part[nxt] = end
+                            queue.append(nxt)
 
+        incident: dict[int, list[int]] = {}
+        for sid, (tail, head) in side_ends.items():
+            incident.setdefault(tail, []).append(first[sid])
+            incident.setdefault(head, []).append(first[sid] + 1)
+        sids = list(side_ends)
         for vertex in self.vertices:
-            ends = incident.get(vertex, set())
+            ends = incident.get(vertex)
             if not ends:
                 raise NonSurfaceComplex(f"vertex {vertex} touches no side")
             for end in ends:
-                degree = len(adjacency.get(end, []))
-                expected = 1 if end[0] in self.bseg_ends else 2
-                if degree != expected:
+                sid = sids[end // 2]
+                if len(links[end]) != (1 if sid in self.bseg_ends else 2):
                     raise NonSurfaceComplex(
-                        f"vertex {vertex}: side-end {end} has {degree} corners"
+                        f"vertex {vertex}: side-end {(sid, end % 2)} has {len(links[end])} corners"
                     )
-            # single component?
-            start = next(iter(ends))
-            seen = {start}
-            queue = [start]
-            while queue:
-                for nxt in adjacency.get(queue.pop(), []):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            if seen != ends:
+            if len({part[end] for end in ends}) > 1:
                 raise NonSurfaceComplex(
                     f"vertex {vertex} link is disconnected: pinched complex"
                 )
@@ -202,31 +180,24 @@ class Triangulation:
             + len(self.faces)
         )
 
-    def _boundary_cycles(self) -> list[list[Vertex]]:
-        starts: dict[Vertex, list[SideId]] = {}
-        for sid, (tail, head) in self.bseg_ends.items():
-            starts.setdefault(tail, []).append(sid)
-        for vertex, sids in starts.items():
-            if len(sids) != 1:
-                raise NonSurfaceComplex(
-                    f"boundary vertex {vertex} starts {len(sids)} boundary segments"
-                )
-        outgoing = {vertex: sids[0] for vertex, sids in starts.items()}
-        heads = [head for _, head in self.bseg_ends.values()]
-        if sorted(heads, key=repr) != sorted(outgoing, key=repr):
+    def _boundary_cycles(self) -> list[list[int]]:
+        following: dict[int, int] = {}  # boundary vertex -> head of its segment
+        for tail, head in self.bseg_ends.values():
+            if tail in following:
+                raise NonSurfaceComplex(f"boundary vertex {tail} starts two boundary segments")
+            following[tail] = head
+        # As many heads as starts, and the starts are distinct: the two agree
+        # as multisets exactly when they agree as sets.
+        if following.keys() != set(following.values()):
             raise NonSurfaceComplex("boundary segments do not chain into cycles")
 
-        cycles: list[list[Vertex]] = []
-        remaining = dict(outgoing)
-        while remaining:
-            start = min(remaining, key=repr)
-            cycle = [start]
-            sid = remaining.pop(start)
-            vertex = self.bseg_ends[sid][1]
-            while vertex != start:
+        cycles: list[list[int]] = []
+        while following:  # each cycle starts at the first vertex left
+            cycle = [next(iter(following))]
+            vertex = following.pop(cycle[0])
+            while vertex != cycle[0]:
                 cycle.append(vertex)
-                sid = remaining.pop(vertex)
-                vertex = self.bseg_ends[sid][1]
+                vertex = following.pop(vertex)
             cycles.append(cycle)
         return cycles
 
@@ -248,120 +219,102 @@ class Triangulation:
         )
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Join the classes of ``a`` and ``b``; a class's root is its least id."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a != b:
+        parent[max(a, b)] = min(a, b)
+
+
 def assemble(data: BlockData, plan: Plan) -> Triangulation:
     """Glue the plan's pieces into the decomposition's surface."""
     result = glue(data, plan)  # validates the plan
     colors = result.colors
-    pieces = _UnionFind()  # instances that share a node are glued together
-    for inst in plan.instances:
-        for node in inst.nodes:
-            pieces.union(inst.nodes[0], node)
-    components = len({pieces.find(node) for node in range(len(colors))})
+    tables = [data.piece_tables[inst.tag] for inst in plan.instances]
+    bases = []  # per instance, its first side id
+    tails: list[int] = []  # per side id, its ends before gluing
+    heads: list[int] = []
+    arcs: list[int] = []
+    bsegs: list[int] = []
+    carried = []  # (node, arc) for every arc
+    covers: list[list[tuple]] = [[] for _ in colors]  # outlets, (side, direction, instance)
+    vertex_count = 0
+    for index, (inst, table) in enumerate(zip(plan.instances, tables)):
+        bases.append(len(tails))
+        for sid, (tail, head, is_arc, label) in enumerate(table.sides, len(tails)):
+            tails.append(vertex_count + tail)
+            heads.append(vertex_count + head)
+            if is_arc:
+                arcs.append(sid)
+                carried.append((inst.nodes[label], sid))
+            else:
+                bsegs.append(sid)
+        for label, side, direction in table.outlets:
+            covers[inst.nodes[label]].append((bases[-1] + side, direction, index))
+        vertex_count += table.vertex_count
+
+    # Per side, the slots its forward and backward traversals fill; an
+    # identified outlet fills its partner's, so it is kept iff its own.
+    slots = [((sid, 1), (sid, -1)) for sid in range(len(tails))]
+    parent = list(range(vertex_count))
+    pieces = list(range(len(tables)))  # instances glued along shared nodes
+    for pair in covers:  # a node shared by two instances is white in both
+        if len(pair) != 2:
+            continue
+        (keep, keep_dir, i), (drop, drop_dir, j) = pair
+        _union(pieces, i, j)
+        if keep_dir == drop_dir:  # both faces run one way: glue the copy reversed
+            _union(parent, tails[keep], heads[drop])
+            _union(parent, heads[keep], tails[drop])
+            slots[drop] = slots[keep][::-1]
+        else:
+            _union(parent, tails[keep], tails[drop])
+            _union(parent, heads[keep], heads[drop])
+            slots[drop] = slots[keep]
+    components = sum(pieces[i] == i for i in range(len(pieces)))
     if components > 1:
         raise DisconnectedComplex(components)
-
-    arc_ends: dict[SideId, list[Vertex]] = {}
-    bseg_ends: dict[SideId, list[Vertex]] = {}
-    faces: list[list[Slot]] = []
-    outlet_slots: dict[SideId, int] = {}  # direction of an outlet's single slot
-    covers: dict[int, list[SideId]] = {}  # node -> outlet arcs landing on it
-    arcard: dict[int, list[SideId]] = {}  # node -> every arc carrying it
-
-    for idx, inst in enumerate(plan.instances):
-        template = data.template(inst.tag)
-        piece = data.piece_for(inst.tag)
-        node_of = dict(zip(template.labels, inst.nodes))
-        outlets = {sid for _, sid in piece.outlets}
-        for side in piece.sides:
-            sid = (idx, side.sid)
-            ends = [(idx, side.tail), (idx, side.head)]
-            if side.is_arc:
-                arc_ends[sid] = ends
-                arcard.setdefault(node_of[side.label], []).append(sid)
-            else:
-                bseg_ends[sid] = ends
-        for face in piece.faces:
-            faces.append([((idx, sid), d) for sid, d in face])
-            for sid, d in face:
-                if sid in outlets:
-                    outlet_slots[(idx, sid)] = d
-        for label, sid in piece.outlets:
-            covers.setdefault(node_of[label], []).append((idx, sid))
-
-    uf = _UnionFind()
-    for ends in list(arc_ends.values()) + list(bseg_ends.values()):
-        for v in ends:
-            uf.find(v)
-
-    # Identify outlet arcs of shared nodes.
-    substitution: dict[SideId, tuple[SideId, int]] = {}
-    for node in sorted(covers):
-        arcs = covers[node]
-        if len(arcs) != 2:
-            continue
-        keep, drop = arcs
-        flip = -1 if outlet_slots[keep] == outlet_slots[drop] else 1
-        kt, kh = arc_ends[keep]
-        dt, dh = arc_ends[drop]
-        if flip < 0:
-            uf.union(kt, dh)
-            uf.union(kh, dt)
-        else:
-            uf.union(kt, dt)
-            uf.union(kh, dh)
-        substitution[drop] = (keep, flip)
-        del arc_ends[drop]
-
     faces = [
-        [
-            (sid, d) if sid not in substitution
-            else (substitution[sid][0], d * substitution[sid][1])
-            for sid, d in face
-        ]
-        for face in faces
+        tuple([slots[base + side][direction < 0] for side, direction in face])
+        for base, table in zip(bases, tables)
+        for face in table.faces
     ]
 
-    # Cap every still-open node.
-    for node in sorted(covers):
+    for node, cover in enumerate(covers):  # cap every still-open node
         if colors[node] != WHITE:
             continue
-        (arc,) = covers[node]
-        direction = outlet_slots[arc]
-        tail, head = arc_ends[arc]
-        start, finish = (head, tail) if direction > 0 else (tail, head)
-        fresh = ("cap", node)
-        b1 = ("capb", node, 1)
-        b2 = ("capb", node, 2)
-        bseg_ends[b1] = [finish, fresh]
-        bseg_ends[b2] = [fresh, start]
-        uf.find(fresh)
-        faces.append([(arc, -direction), (b1, 1), (b2, 1)])
+        ((arc, direction, _),) = cover
+        start, finish = (heads[arc], tails[arc]) if direction > 0 else (tails[arc], heads[arc])
+        fresh, b1 = len(parent), len(tails)
+        parent.append(fresh)
+        tails += (finish, fresh)
+        heads += (fresh, start)
+        bsegs += (b1, b1 + 1)
+        faces.append(((arc, -direction), (b1, 1), (b1 + 1, 1)))
 
-    resolved_arcs = {
-        sid: (uf.find(t), uf.find(h)) for sid, (t, h) in arc_ends.items()
-    }
-    resolved_bsegs = {
-        sid: (uf.find(t), uf.find(h)) for sid, (t, h) in bseg_ends.items()
-    }
-    vertices = tuple(
-        sorted({v for ends in (*resolved_arcs.values(), *resolved_bsegs.values())
-                for v in ends}, key=repr)
-    )
-
-    node_arc: dict[int, SideId] = {}
+    root = parent  # every parent is a lesser id: one ascending pass finds the roots
+    for v in range(len(root)):
+        root[v] = root[root[v]]
+    node_arc: dict[int, int] = {}
     if plan.mode == QUIVER:
-        for node, arcs in arcard.items():
-            merged = {substitution.get(a, (a, 1))[0] for a in arcs}
-            if len(merged) == 1:
-                node_arc[node] = merged.pop()
-
+        carriers: dict[int, set[int]] = {}
+        for node, sid in carried:
+            carriers.setdefault(node, set()).add(slots[sid][0][0])
+        node_arc = {node: kept.pop() for node, kept in carriers.items() if len(kept) == 1}
     tri = Triangulation(
         mode=plan.mode,
-        vertices=vertices,
-        arc_ends=resolved_arcs,
-        bseg_ends=resolved_bsegs,
-        faces=tuple([tuple(face) for face in faces]),
+        vertices=tuple([v for v, r in enumerate(root) if v == r]),
+        arc_ends={s: (root[tails[s]], root[heads[s]]) for s in arcs if slots[s][0][0] == s},
+        bseg_ends={s: (root[tails[s]], root[heads[s]]) for s in bsegs},
+        faces=tuple(faces),
         node_arc=node_arc,
+        diagram=result.diagram,
     )
     tri.validate()
     return tri
@@ -376,9 +329,8 @@ def signed_adjacency_matrix(tri: Triangulation, node_count: int) -> tuple[tuple[
     if sorted(tri.node_arc) != list(range(node_count)):
         raise SurfaceError("triangulation does not carry one arc per node")
 
-    # Self-folded triangles: the repeated side maps to its enclosing loop.
-    pi: dict[SideId, SideId] = {}
-    folded_faces = []
+    pi: dict[int, int] = {}  # a self-folded triangle's repeated side -> its loop
+    bump: dict[tuple[int, int], int] = {}
     for face in tri.faces:
         sids = [sid for sid, _ in face]
         repeated = {s for s in sids if sids.count(s) == 2}
@@ -386,13 +338,8 @@ def signed_adjacency_matrix(tri: Triangulation, node_count: int) -> tuple[tuple[
             (fold,) = repeated
             (loop,) = (s for s in sids if s != fold)
             pi[fold] = loop
-            folded_faces.append(face)
-
-    bump: dict[tuple[SideId, SideId], int] = {}
-    for face in tri.faces:
-        if face in folded_faces:
             continue
-        for (s1, _), (s2, _) in zip(face, face[1:] + face[:1]):
+        for s1, s2 in zip(sids, sids[1:] + sids[:1]):
             if s1 in tri.bseg_ends or s2 in tri.bseg_ends:
                 continue
             bump[(s2, s1)] = bump.get((s2, s1), 0) + 1

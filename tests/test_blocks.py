@@ -180,6 +180,26 @@ class TestCompiledTables:
             assert tables.open_nets[nets] == reachable(nets), nets
 
 
+    def test_piece_tables(self, data):
+        """Per template, its piece on integer ids against the ``Piece``: the
+        vertex count, each side's ends, kind and arc label position, the
+        faces, and each outlet's label, side and single slot direction."""
+        for tag in ALL_TAGS:
+            t, piece, table = data.template(tag), data.piece_for(tag), data.piece_tables[tag]
+            assert table.vertex_count == len(piece.vertices), tag
+            assert len(table.sides) == len(piece.sides), tag
+            for (tail, head, is_arc, label), side in zip(table.sides, piece.sides):
+                assert (piece.vertices[tail], piece.vertices[head]) == (side.tail, side.head)
+                assert is_arc == side.is_arc, (tag, side)
+                assert (t.labels[label] if is_arc else label) == (side.label if is_arc else -1)
+            faces = tuple(tuple((piece.sides[s].sid, d) for s, d in face) for face in table.faces)
+            assert faces == piece.faces, tag
+            assert len(table.outlets) == len(piece.outlets), tag
+            for (label, s, d), (outlet_label, sid) in zip(table.outlets, piece.outlets):
+                assert (t.labels[label], piece.sides[s].sid) == (outlet_label, sid)
+                assert [fd for face in piece.faces for fs, fd in face if fs == sid] == [d]
+
+
 class TestPieces:
     def test_every_block_has_a_piece(self, data):
         for tag in ALL_TAGS:
@@ -245,6 +265,18 @@ side z bseg C A
 face x+ y+ z+
 """
         with pytest.raises(BlockDataError, match="close"):
+            parse_block_data(text)
+
+    def test_vertex_on_no_side_rejected(self):
+        text = """
+piecedef bad
+vertex A B C D
+side x arc A B
+side y arc B C
+side z bseg C A
+face x+ y+ z+
+"""
+        with pytest.raises(BlockDataError, match="vertex 'D' lies on no side"):
             parse_block_data(text)
 
     def test_incoherent_orientation_rejected(self):

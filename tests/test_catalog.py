@@ -1,6 +1,7 @@
 """Catalog loading, verification, and reversal-class matching."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -78,6 +79,39 @@ def test_glue_back_and_matrices():
     for entry_id, report in REPORTS.items():
         assert report.glue_ok, entry_id
         assert report.matrix_ok is (None if report.entry.mode == S_DIAGRAM else True)
+
+
+def test_each_plan_is_glued_once(monkeypatch):
+    """``verify_entry`` reads each plan's diagram from its surface, which
+    ``assemble`` glued; it does not glue the plan again."""
+    import blockdec.catalog
+    import blockdec.gluing
+    import blockdec.surface
+
+    calls = []
+    real_glue = blockdec.gluing.glue
+
+    def counting_glue(data, plan):
+        calls.append(plan)
+        return real_glue(data, plan)
+
+    monkeypatch.setattr(blockdec.gluing, "glue", counting_glue)
+    monkeypatch.setattr(blockdec.surface, "glue", counting_glue)
+    monkeypatch.setattr(blockdec.catalog, "glue", counting_glue, raising=False)
+    report = verify_entry(catalog_entry("7"), DATA)
+    assert report.glue_ok and len(calls) == report.count == 3
+
+
+def test_glue_back_failure_is_reported(monkeypatch):
+    import blockdec.catalog
+    from blockdec.surface import assemble
+
+    other = make_diagram(3, [(0, 1, 1), (1, 2, 1)])
+    monkeypatch.setattr(
+        blockdec.catalog, "assemble", lambda data, plan: replace(assemble(data, plan), diagram=other)
+    )
+    report = verify_entry(catalog_entry("7"), DATA)
+    assert not report.glue_ok and not report.ok
 
 
 def test_whole_catalog_ok():

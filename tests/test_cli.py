@@ -433,6 +433,43 @@ def test_sweep_stdout_is_pinned(capsys, argv, classes, digest, stable_from):
         assert class_lines(out) == class_lines(smaller)
 
 
+# Taken at the tuple-keyed surface assembly, before it moved to integer ids.
+CATALOG_PINS = [
+    (["verify-catalog"], "ed64c17e5e1fcfc6a09bf6b2fb4320591934bd0a10fdf2c8309077d3fa0d4edb"),
+    (["verify-catalog", "--json"], "28c8809e636cb88ee5a8adf0676f30a75a04d16cff7df0b0f2d94f88f819e0fb"),
+    (["surface", "--entry", "1", "--all"], "a32aa0e1a2947f60c30bcc9d9b731e3c4596851e3727473e3412922616928656"),
+    (["surface", "--entry", "2", "--all"], "c0981859aec1255d521387ed0de925ba2eb6a68b5532db1bcdf42f0b44c81b18"),
+    (["surface", "--entry", "3", "--all"], "9adf5d39a1b722aa676438be2b555e9eb65304c5c87cf9273bef65193c6daf1c"),
+    (["surface", "--entry", "4", "--all"], "097bf911f94fdb45f15789d581fc13ae586c47a9d6d8e3cdb3c985c5d72fce8f"),
+    (["surface", "--entry", "5", "--all"], "4f959a889f910c673d4e94c659270f81e01b592124eea086c1827043b3c5406a"),
+    (["surface", "--entry", "6", "--all"], "393002d4f932f7bc85e592a411854ef6292f37189cf3e0308ed9b324bea05419"),
+    (["surface", "--entry", "7", "--all"], "eb55e6a620a9a7ff917ffd4c494ecafa75a4c86b98e09184dbc0021116db1e97"),
+    (["surface", "--entry", "7p", "--all"], "5bba1ce0af4e3c49739977b80037d2bac9ed3ea130832e20032926cce46a344c"),
+    (["surface", "--entry", "8", "--all"], "eca832d971e15ea7d427cf334767772e646e71ca384329637fdb6ac4191877db"),
+    (["surface", "--entry", "9", "--all"], "480479a03666c59ae5a7841ca52135972613115de16b73812b3e3ac379decccd"),
+    (["surface", "--entry", "10", "--all"], "b743d43935cd283908484178735ad67a12115f9e233196ebb070475126ea61f4"),
+    (["surface", "--entry", "11", "--all"], "dcd1b58c85744db5ad39a2b7cb5e3492e6fe97b2200eb06662b5c2cde060b0fc"),
+    (["surface", "--entry", "12", "--all"], "d7aafab504d8500be3592e92f7287bfe9698040de18dc06ef6104be214793882"),
+    (["surface", "--entry", "13", "--all"], "8811907f3a6f6f6f915591022f34e479e514614fc5d6bf2550d03cea06a04ea4"),
+    (["surface", "--entry", "14", "--all"], "135b48b6b27854bec107751327f95bcee357a7e47165973c2f5ff1983d10fe3b"),
+    (["surface", "--entry", "15", "--all"], "17cd244f766e371f1487f0cd40814ecfe460938531d4aab4b912afd0c3d2adea"),
+    (["surface", "--entry", "16", "--all"], "6ef3c689268b61e7c2c720e2ca5f98352f18c662f680aa3f9dfb346eb6672dbd"),
+    (["surface", "--entry", "17", "--all"], "cd18ff295c92019140ffdb2e51dea797373d59faf3d94aee8ab9fc0ecec3d20b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", CATALOG_PINS, ids=[" ".join(argv) for argv, _ in CATALOG_PINS]
+)
+def test_catalog_stdout_is_pinned(capsys, argv, digest):
+    """The stdout bytes of ``verify-catalog`` and of ``surface`` on every
+    catalog entry are fixed: a change to assembly or invariants must print
+    the same plans and surfaces."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_search_deeper_than_recursion_limit_decomposes(tmp_path):
     """A 120-node path under a recursion limit of 100: the search keeps its
     own stack, so the one plan is found."""

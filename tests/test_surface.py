@@ -1,12 +1,18 @@
 """Surface assembly: golden invariants and exchange-matrix recovery."""
 
+from dataclasses import replace
+from random import Random
+
 import pytest
 
-from blockdec.blocks import load_block_data
+from blockdec.blocks import WHITE, load_block_data
+from blockdec.catalog import load_catalog
 from blockdec.decompose import enumerate_decompositions
 from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, to_matrix
 from blockdec.gluing import BlockInstance, Plan, glue
+from blockdec.oracle import random_plan
 from blockdec.surface import (
+    DisconnectedComplex,
     NonSurfaceComplex,
     SurfaceError,
     Triangulation,
@@ -206,15 +212,10 @@ def test_chi_equals_two_minus_twog_minus_b():
 
 def test_validator_rejects_dangling_arc():
     tri = assemble(DATA, plan(QUIVER, ("Triangle", 0, 1, 2)))
-    broken = Triangulation(
-        mode=tri.mode,
-        vertices=tri.vertices,
-        arc_ends={**tri.arc_ends, ("extra",): next(iter(tri.arc_ends.values()))},
-        bseg_ends=tri.bseg_ends,
-        faces=tri.faces,
-        node_arc=tri.node_arc,
+    broken = replace(
+        tri, arc_ends={**tri.arc_ends, ("extra",): next(iter(tri.arc_ends.values()))}
     )
-    with pytest.raises(NonSurfaceComplex):
+    with pytest.raises(NonSurfaceComplex, match="has traversals"):
         broken.validate()
 
 
@@ -226,16 +227,118 @@ def test_validator_rejects_incoherent_orientation():
         flipped.append(
             tuple((sid, -d if sid == target else d) for sid, d in face)
         )
-    broken = Triangulation(
-        mode=tri.mode,
-        vertices=tri.vertices,
-        arc_ends=tri.arc_ends,
-        bseg_ends=tri.bseg_ends,
-        faces=tuple(flipped),
-        node_arc=tri.node_arc,
-    )
+    broken = replace(tri, faces=tuple(flipped))
     with pytest.raises(NonSurfaceComplex):
         broken.validate()
+
+
+# ---------------------------------------------------------------------------
+# One mutation of an assembled surface per rejection of ``validate``.  The
+# hexagon disk of one Triangle piece has 6 boundary segments and no interior
+# vertex; mutations add ids like ("extra",) next to the int ids.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def hexagon():
+    tri = assemble(DATA, plan(QUIVER, ("Triangle", 0, 1, 2)))
+    assert (len(tri.vertices), len(tri.bseg_ends), len(tri.faces)) == (6, 6, 4)
+    return tri
+
+
+def test_validator_rejects_unknown_side(hexagon):
+    arc = next(iter(hexagon.arc_ends))
+    broken = replace(hexagon, arc_ends={s: e for s, e in hexagon.arc_ends.items() if s != arc})
+    with pytest.raises(NonSurfaceComplex, match="unknown side"):
+        broken.validate()
+
+
+def test_validator_rejects_segment_bounding_two_faces(hexagon):
+    """A triangle glued on the far side of a boundary segment, its other two
+    sides fresh boundary segments."""
+    b, (tail, head) = next(iter(hexagon.bseg_ends.items()))
+    extra = ("extra",)
+    broken = replace(
+        hexagon,
+        vertices=hexagon.vertices + (extra,),
+        bseg_ends={**hexagon.bseg_ends, ("x",): (tail, extra), ("y",): (extra, head)},
+        faces=hexagon.faces + (((b, -1), (("x",), 1), (("y",), 1)),),
+    )
+    with pytest.raises(NonSurfaceComplex, match=f"boundary segment {b} bounds 2 faces"):
+        broken.validate()
+
+
+def test_validator_rejects_open_face(hexagon):
+    b, (tail, head) = next(iter(hexagon.bseg_ends.items()))
+    broken = replace(hexagon, bseg_ends={**hexagon.bseg_ends, b: (head, tail)})
+    with pytest.raises(NonSurfaceComplex, match="does not close up"):
+        broken.validate()
+
+
+def test_validator_rejects_vertex_on_no_side(hexagon):
+    broken = replace(hexagon, vertices=hexagon.vertices + (("extra",),))
+    with pytest.raises(NonSurfaceComplex, match=r"vertex \('extra',\) touches no side"):
+        broken.validate()
+
+
+def test_validator_rejects_wrong_corner_count(hexagon):
+    """A side-end has as many corners as its side has face slots, so once
+    ``validate`` has checked the slot counts this check cannot fail there: it
+    is reached through the link check alone, on an arc in no face."""
+    tail, head = next(iter(hexagon.arc_ends.values()))
+    broken = replace(hexagon, arc_ends={**hexagon.arc_ends, ("extra",): (tail, head)})
+    side_ends = {**broken.arc_ends, **broken.bseg_ends}
+    with pytest.raises(NonSurfaceComplex, match=r"side-end \(\('extra',\), \d\) has 0 corners"):
+        broken._validate_links(side_ends)
+
+
+def test_validator_rejects_pinched_vertex(hexagon):
+    """Two opposite corners of the hexagon made one vertex: its link is two
+    paths."""
+    (cycle,) = hexagon._boundary_cycles()
+    keep, merge = cycle[0], cycle[3]
+    moved = lambda ends: {s: tuple(keep if v == merge else v for v in e) for s, e in ends.items()}  # noqa: E731
+    broken = replace(
+        hexagon,
+        vertices=tuple(v for v in hexagon.vertices if v != merge),
+        arc_ends=moved(hexagon.arc_ends),
+        bseg_ends=moved(hexagon.bseg_ends),
+    )
+    with pytest.raises(NonSurfaceComplex, match=f"vertex {keep} link is disconnected"):
+        broken.validate()
+
+
+def test_validator_rejects_vertex_starting_two_segments(hexagon):
+    """One boundary segment reversed together with its face slot: every face
+    closes and every link is a path, but the segment's new tail starts the
+    next segment too."""
+    b, (tail, head) = next(iter(hexagon.bseg_ends.items()))
+    faces = tuple(tuple((s, -d if s == b else d) for s, d in face) for face in hexagon.faces)
+    broken = replace(hexagon, bseg_ends={**hexagon.bseg_ends, b: (head, tail)}, faces=faces)
+    with pytest.raises(NonSurfaceComplex, match=f"boundary vertex {head} starts two"):
+        broken.validate()
+
+
+def test_validator_rejects_two_disks(hexagon):
+    """The hexagon and a copy on ids ("copy", id): chi 2 and 2 boundary
+    components leave 2 - chi - b = -2."""
+    copy = lambda ends: {("copy", s): (("copy", t), ("copy", h)) for s, (t, h) in ends.items()}  # noqa: E731
+    broken = replace(
+        hexagon,
+        vertices=hexagon.vertices + tuple(("copy", v) for v in hexagon.vertices),
+        arc_ends={**hexagon.arc_ends, **copy(hexagon.arc_ends)},
+        bseg_ends={**hexagon.bseg_ends, **copy(hexagon.bseg_ends)},
+        faces=hexagon.faces
+        + tuple(tuple((("copy", s), d) for s, d in face) for face in hexagon.faces),
+    )
+    with pytest.raises(NonSurfaceComplex, match="chi=2 with 2 boundary components"):
+        broken.validate()
+
+
+def test_disconnected_plan_is_refused():
+    with pytest.raises(DisconnectedComplex) as info:
+        assemble(DATA, plan(QUIVER, ("Spike", 0, 1), ("Spike", 2, 3)))
+    assert info.value.components == 2
 
 
 def test_assemble_validates_plan_first():
@@ -250,3 +353,150 @@ def test_determinism():
     t1, t2 = assemble(DATA, p), assemble(DATA, p)
     assert t1 == t2
     assert t1.invariants() == t2.invariants()
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the tuple-keyed assembly that the integer one
+# replaced: vertices and sides namespaced by instance, a dict union-find.
+# ---------------------------------------------------------------------------
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb, key=repr)] = min(ra, rb, key=repr)
+
+
+def reference_assemble(data, p):
+    result = glue(data, p)
+    colors = result.colors
+    pieces = _UnionFind()
+    for inst in p.instances:
+        for node in inst.nodes:
+            pieces.union(inst.nodes[0], node)
+    components = len({pieces.find(node) for node in range(len(colors))})
+    if components > 1:
+        raise DisconnectedComplex(components)
+
+    arc_ends, bseg_ends, faces = {}, {}, []
+    outlet_slots, covers, arcard = {}, {}, {}
+    for idx, inst in enumerate(p.instances):
+        template = data.template(inst.tag)
+        piece = data.piece_for(inst.tag)
+        node_of = dict(zip(template.labels, inst.nodes))
+        outlets = {sid for _, sid in piece.outlets}
+        for side in piece.sides:
+            sid = (idx, side.sid)
+            ends = [(idx, side.tail), (idx, side.head)]
+            if side.is_arc:
+                arc_ends[sid] = ends
+                arcard.setdefault(node_of[side.label], []).append(sid)
+            else:
+                bseg_ends[sid] = ends
+        for face in piece.faces:
+            faces.append([((idx, sid), d) for sid, d in face])
+            for sid, d in face:
+                if sid in outlets:
+                    outlet_slots[(idx, sid)] = d
+        for label, sid in piece.outlets:
+            covers.setdefault(node_of[label], []).append((idx, sid))
+
+    uf = _UnionFind()
+    substitution = {}
+    for node in sorted(covers):
+        arcs = covers[node]
+        if len(arcs) != 2:
+            continue
+        keep, drop = arcs
+        flip = -1 if outlet_slots[keep] == outlet_slots[drop] else 1
+        kt, kh = arc_ends[keep]
+        dt, dh = arc_ends[drop]
+        if flip < 0:
+            uf.union(kt, dh)
+            uf.union(kh, dt)
+        else:
+            uf.union(kt, dt)
+            uf.union(kh, dh)
+        substitution[drop] = (keep, flip)
+        del arc_ends[drop]
+    faces = [
+        [(sid, d) if sid not in substitution else (substitution[sid][0], d * substitution[sid][1])
+         for sid, d in face]
+        for face in faces
+    ]
+    for node in sorted(covers):
+        if colors[node] != WHITE:
+            continue
+        (arc,) = covers[node]
+        direction = outlet_slots[arc]
+        tail, head = arc_ends[arc]
+        start, finish = (head, tail) if direction > 0 else (tail, head)
+        fresh, b1, b2 = ("cap", node), ("capb", node, 1), ("capb", node, 2)
+        bseg_ends[b1] = [finish, fresh]
+        bseg_ends[b2] = [fresh, start]
+        faces.append([(arc, -direction), (b1, 1), (b2, 1)])
+
+    resolved_arcs = {sid: (uf.find(t), uf.find(h)) for sid, (t, h) in arc_ends.items()}
+    resolved_bsegs = {sid: (uf.find(t), uf.find(h)) for sid, (t, h) in bseg_ends.items()}
+    vertices = tuple(sorted(
+        {v for ends in (*resolved_arcs.values(), *resolved_bsegs.values()) for v in ends}, key=repr
+    ))
+    node_arc = {}
+    if p.mode == QUIVER:
+        for node, arcs in arcard.items():
+            merged = {substitution.get(a, (a, 1))[0] for a in arcs}
+            if len(merged) == 1:
+                node_arc[node] = merged.pop()
+    tri = Triangulation(
+        mode=p.mode,
+        vertices=vertices,
+        arc_ends=resolved_arcs,
+        bseg_ends=resolved_bsegs,
+        faces=tuple(tuple(face) for face in faces),
+        node_arc=node_arc,
+        diagram=result.diagram,
+    )
+    tri.validate()
+    return tri
+
+
+def surface_of(assembler, p):
+    tri = assembler(DATA, p)
+    n = tri.diagram.node_count
+    matrix = signed_adjacency_matrix(tri, n) if p.mode == QUIVER else None
+    return tri.diagram, tri.invariants().as_dict(), matrix
+
+
+def test_catalog_surfaces_match_the_reference():
+    count = 0
+    for entry in load_catalog():
+        for p in enumerate_decompositions(entry.diagram, DATA).plans:
+            assert surface_of(assemble, p) == surface_of(reference_assemble, p), (entry.entry_id, p)
+            count += 1
+    assert count == 48
+
+
+@pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+def test_random_surfaces_match_the_reference(mode):
+    """Every decomposition of connected ``random_plan`` draws, at least 400
+    per mode."""
+    rng = Random(14)
+    count = 0
+    while count < 400:
+        d = glue(DATA, random_plan(DATA, mode, rng, max_blocks=5)).diagram
+        if len(d.components()) != 1:
+            continue
+        for p in enumerate_decompositions(d, DATA).plans:
+            assert surface_of(assemble, p) == surface_of(reference_assemble, p), p
+            count += 1
