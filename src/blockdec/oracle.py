@@ -20,6 +20,14 @@ every connected diagram keeps all its entries, and about half the children
 are never built.  It keeps, for each key at first sight, the generators and
 whether the diagram is connected, so it never rebuilds a diagram from its key.
 
+Before a child is glued, a cheap isomorphism-invariant score gates it, in the
+manner of canonical augmentation: the child is built only if the instance
+just added scores at least as high as every instance whose removal leaves a
+plan the walk reaches.  Every plan class is still reached (see
+:func:`enumerate_plans`).  Without the gate, more than half the children
+``sweep`` glues and labels only reach an entry already visited; with it,
+``sweep`` builds about 45% fewer children.
+
 The decomposition search in :mod:`blockdec.decompose` can then be audited
 against ground truth that was produced without any of its pruning logic.
 """
@@ -65,12 +73,31 @@ def enumerate_plans(
     from the search state by :meth:`GlueState.glued`, which checks rules 1
     and 4.
 
-    A child is expanded only if its entry is new.  That loses no plan up to
-    isomorphism: plans with equal entries are isomorphic, and isomorphic
-    plans have isomorphic children under first-use numbering, so by
-    induction on the block count every class the labelled search reaches is
-    reached.  Children of one parent that are the same sorted tuple of
-    canonical instances are skipped before they are glued.
+    A child is expanded only if its entry is new; plans with equal entries
+    are isomorphic, and isomorphic plans have isomorphic children under
+    first-use numbering.  Children of one parent that are the same sorted
+    tuple of canonical instances are skipped before they are glued.
+
+    Before that, a cheap gate skips most children that only reach a plan
+    class again from another parent, as McKay's canonical augmentation does
+    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  An
+    instance's *score* in a plan is its template's rank in data order, then
+    the number of its nodes that another instance also covers; both are read
+    from the search state before the push, and both are invariant under
+    isomorphism.  An instance J of a child C is *removable* when ``C - J`` is
+    a plan the walk reaches: any plan, or with ``connected`` an
+    overlap-connected one.  A child ``C = P + I`` is built only if no
+    removable instance of C outscores I, and removability is tested only for
+    an instance that does.  The gate loses no class.  By induction on the
+    block count, every class the labelled search reaches is expanded: take a
+    removable instance J* of C of greatest score.  The class of ``C - J*``
+    has one block fewer, so it is expanded, and isomorphic plans have
+    isomorphic children, so that expansion builds a child isomorphic to C
+    whose added instance is the image of J*.  No removable instance of that
+    child outscores it, as none of C outscores J*, so the gate lets it
+    through.  Ties go through, and the visited set of entries still does the
+    exact dedup.  On ``sweep`` at quiver 6 and s 5 the gate cuts the children
+    built from 2,511 to 1,412.
 
     With ``connected``, only *overlap-connected* plans are enumerated: every
     instance after the first uses a node an earlier one used, so
@@ -80,13 +107,15 @@ def enumerate_plans(
     so instances falling into two node-disjoint groups glue to a disconnected
     diagram.  Such a plan keeps, after dropping a leaf of a spanning tree of
     its overlap graph, an overlap-connected plan one block smaller, and the
-    dropped instance meets one of its open white nodes.  Overlap-connectedness
-    is invariant under isomorphism, so the induction above runs unchanged
+    dropped instance meets one of its open white nodes, as any removable
+    instance of a plan of two or more blocks does.  Overlap-connectedness is
+    invariant under isomorphism, so the induction above runs unchanged
     within these plans, and every connected diagram keeps all its entries.
     A plan is expanded even when its arrows cancel to a disconnected diagram,
     since a child may be connected again.
     """
     templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+    rank = {template.tag: r for r, template in enumerate(templates)}
     state = GlueState(data, max_nodes)
     interned: dict[BlockInstance, BlockInstance] = {}
     visited: set[tuple[str, PlanTuple]] = set()
@@ -130,11 +159,41 @@ def enumerate_plans(
             canon = interned[inst] = interned.setdefault(canon, canon)
         return canon
 
+    def removals(plan: PlanTuple):
+        """Per instance J of ``plan``: its template rank, how many of its
+        nodes another instance covers, its nodes, and the node sets of the
+        overlap components of ``plan - J``.  With ``connected``, a child
+        ``plan + I - J`` is overlap-connected when I meets every one of them;
+        without, no set is listed and every J is removable."""
+        out = []
+        for j, inst in enumerate(plan):
+            groups: list[set[int]] = []
+            if connected:
+                for other in plan[:j] + plan[j + 1:]:
+                    joined = set(other.nodes)
+                    for group in [g for g in groups if not g.isdisjoint(joined)]:
+                        joined |= group
+                        groups.remove(group)
+                    groups.append(joined)
+            shared = sum(1 for v in inst.nodes if state.covers[v] == 2)
+            out.append((rank[inst.tag], shared, set(inst.nodes), groups))
+        return out
+
     def dfs(plan: PlanTuple, n: int):
         if len(plan) == max_blocks:
             return
         children: set[PlanTuple] = set()
+        scored = removals(plan)
+        covers = state.covers
         for inst in placements(n):
+            # The gate: skip inst if a removable instance outscores it.
+            score = (rank[inst.tag], sum(1 for v in inst.nodes if covers[v]))
+            if any(
+                (r, shared + len(nodes.intersection(inst.nodes))) > score
+                and all(not g.isdisjoint(inst.nodes) for g in groups)
+                for r, shared, nodes, groups in scored
+            ):
+                continue
             child = tuple(sorted(plan + (canonical(inst),)))
             if child in children:
                 continue
@@ -153,7 +212,12 @@ def enumerate_plans(
                 yield from dfs(child, m)
             state.pop()
 
-    yield from dfs((), 0)
+    # ``dfs`` refers to itself, a cycle that would keep the visited set alive
+    # until a full collection; breaking it frees the walk as soon as it ends.
+    try:
+        yield from dfs((), 0)
+    finally:
+        del dfs
 
 
 def _mapped(data: BlockData, instances: PlanTuple, mapping: tuple[int, ...]) -> PlanTuple:

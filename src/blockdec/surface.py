@@ -29,6 +29,7 @@ diagram node corresponds to exactly one arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blocks import WHITE, BlockData
 from .diagram import QUIVER, Diagram
@@ -123,7 +124,7 @@ class Triangulation:
         self._validate_links(side_ends)
 
         chi = self.chi
-        b = len(self._boundary_cycles())
+        b = len(self.boundary_cycles)
         if (2 - chi - b) % 2 or (2 - chi - b) < 0:
             raise NonSurfaceComplex(
                 f"chi={chi} with {b} boundary components is not a surface"
@@ -201,8 +202,14 @@ class Triangulation:
             cycles.append(cycle)
         return cycles
 
+    @cached_property
+    def boundary_cycles(self) -> list[list[int]]:
+        """The boundary cycles, walked once: :meth:`validate` checks them and
+        :meth:`invariants` reads them."""
+        return self._boundary_cycles()
+
     def invariants(self) -> SurfaceInvariants:
-        cycles = self._boundary_cycles()
+        cycles = self.boundary_cycles
         boundary_vertices = {v for cycle in cycles for v in cycle}
         punctures = sum(1 for v in self.vertices if v not in boundary_vertices)
         chi = self.chi
