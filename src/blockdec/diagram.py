@@ -17,7 +17,8 @@ ways, a deterministic canonical form (iterative refinement plus an
 individualize-and-refine search, adequate for the desk-scale n <= ~20 this
 package targets) whose search also yields generators of the automorphism
 group, the group enumerated from them for small diagrams, and the text
-formats used by the CLI.
+formats used by the CLI.  The labelling search keeps its state in one small
+class, so it leaves no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -189,6 +190,20 @@ def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
     return tuple([tuple(row) for row in b])
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``; halves its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Join the classes of ``a`` and ``b``; a class's root is its least id."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a != b:
+        parent[max(a, b)] = min(a, b)
+
+
 def _symmetrizer_exponents(d: Diagram) -> list[int]:
     """Per node, the log2 of its entry in the symmetrizer that
     :func:`to_matrix` splits the weight-2 edges by."""
@@ -199,30 +214,18 @@ def _symmetrizer_exponents(d: Diagram) -> list[int]:
 
     # Contract weight-1/4 edges: symmetrizer equal across them.
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     for e in d.edges:
         if e.weight != 2:
-            union(e.src, e.dst)
+            _union(parent, e.src, e.dst)
 
-    pairs = [(find(e.src), find(e.dst), e) for e in w2]
+    pairs = [(_find(parent, e.src), _find(parent, e.dst), e) for e in w2]
     for cs, cd, e in pairs:
         if cs == cd:
             raise NotSkewSymmetrizable(
                 f"weight-2 edge ({e.src},{e.dst}) closes a symmetrizer-equal cycle")
 
     exp = _solve_w2_exponents(pairs)
-    return [exp.get(find(v), 0) for v in range(n)]
+    return [exp.get(_find(parent, v), 0) for v in range(n)]
 
 
 def _solve_w2_exponents(pairs: Sequence[tuple[int, int, Edge]]) -> dict[int, int]:
@@ -344,9 +347,8 @@ def _encode(emap: dict[tuple[int, int], int], order: Sequence[int]) -> tuple:
 
 def _swap_invariant(emap: dict[tuple[int, int], int], u: int, v: int) -> bool:
     """True if transposing u and v leaves the edge map unchanged."""
-    def sw(x: int) -> int:
-        return v if x == u else u if x == v else x
-    return {(sw(s), sw(t)): w for (s, t), w in emap.items()} == emap
+    sw = {u: v, v: u}
+    return {(sw.get(s, s), sw.get(t, t)): w for (s, t), w in emap.items()} == emap
 
 
 def _transposition(n: int, u: int, v: int) -> tuple[int, ...]:
@@ -370,6 +372,53 @@ def orbit(seeds: Iterable, generators: Iterable[tuple[int, ...]], act: Callable)
                 closed.add(image)
                 stack.append(image)
     return closed
+
+
+class _Labelling:
+    """The individualize-and-refine search of :func:`_canonical_order` over
+    the touched vertices: :meth:`visit` keeps the first least leaf in
+    ``best_order`` and ``best_enc``, and the generators it finds in ``found``."""
+
+    def __init__(self, n: int, emap: dict[tuple[int, int], int], touched: list[int]):
+        self.n = n
+        self.emap = emap
+        self.touched = touched
+        self.found: dict[tuple[int, ...], None] = {}  # generators on the touched part, in order
+        self.best_enc: Optional[tuple] = None
+        self.best_order: list[int] = []
+
+    def visit(self, colors: list[int], path: tuple[int, ...]) -> None:
+        n, emap, found = self.n, self.emap, self.found
+        cells = _cells(colors, self.touched)
+        target = next((c for c in cells if len(c) > 1), None)
+        if target is None:
+            order = [c[0] for c in cells]
+            enc = _encode(emap, order)
+            best_enc, best_order = self.best_enc, self.best_order
+            if best_enc is None or enc < best_enc:
+                self.best_enc, self.best_order = enc, order
+            elif enc == best_enc and order != best_order:
+                aut = list(range(n))
+                for old, new in zip(best_order, order):
+                    aut[old] = new
+                found.setdefault(tuple(aut))
+            return
+        first, candidates = target[0], target
+        if all(_swap_invariant(emap, first, u) for u in target[1:]):
+            for u in target[1:]:
+                found.setdefault(_transposition(n, first, u))
+            candidates = target[:1]  # the rest lie in its orbit
+        mark = max(colors) + 1
+        explored: list[int] = []
+        for v in candidates:
+            if explored and found:
+                fixing = [g for g in found if all(g[p] == p for p in path)]
+                if v in orbit(explored, fixing, tuple.__getitem__):
+                    continue
+            explored.append(v)
+            child = list(colors)
+            child[v] = mark
+            self.visit(_refine(n, emap, child), path + (v,))
 
 
 def _canonical_order(
@@ -401,44 +450,9 @@ def _canonical_order(
     shuffles = [_transposition(n, u, v) for u, v in zip(isolated, isolated[1:])]
     if not touched:
         return isolated, (), shuffles
-    found: dict[tuple[int, ...], None] = {}  # generators on the touched part, in order
-    best_enc: Optional[tuple] = None
-    best_order: list[int] = []
-
-    def rec(colors: list[int], path: tuple[int, ...]) -> None:
-        nonlocal best_enc, best_order
-        cells = _cells(colors, touched)
-        target = next((c for c in cells if len(c) > 1), None)
-        if target is None:
-            order = [c[0] for c in cells]
-            enc = _encode(emap, order)
-            if best_enc is None or enc < best_enc:
-                best_enc, best_order = enc, order
-            elif enc == best_enc and order != best_order:
-                aut = list(range(n))
-                for old, new in zip(best_order, order):
-                    aut[old] = new
-                found.setdefault(tuple(aut))
-            return
-        first, candidates = target[0], target
-        if all(_swap_invariant(emap, first, u) for u in target[1:]):
-            for u in target[1:]:
-                found.setdefault(_transposition(n, first, u))
-            candidates = target[:1]  # the rest lie in its orbit
-        mark = max(colors) + 1
-        explored: list[int] = []
-        for v in candidates:
-            if explored and found:
-                fixing = (g for g in found if all(g[p] == p for p in path))
-                if v in orbit(explored, fixing, tuple.__getitem__):
-                    continue
-            explored.append(v)
-            child = list(colors)
-            child[v] = mark
-            rec(_refine(n, emap, child), path + (v,))
-
-    rec(_refine(n, emap, [0] * n), ())
-    return best_order + isolated, best_enc, list(found) + shuffles
+    search = _Labelling(n, emap, touched)
+    search.visit(_refine(n, emap, [0] * n), ())
+    return search.best_order + isolated, search.best_enc, list(search.found) + shuffles
 
 
 class CanonicalForm(NamedTuple):

@@ -28,6 +28,10 @@ plan the walk reaches.  Every plan class is still reached (see
 ``sweep`` glues and labels only reach an entry already visited; with it,
 ``sweep`` builds about 45% fewer children.
 
+The walk keeps its state in one small class, :class:`_Walk`, whose methods
+recurse; no closure refers to itself, so the walk leaves no cyclic garbage
+and its visited set is freed as soon as it ends.
+
 The decomposition search in :mod:`blockdec.decompose` can then be audited
 against ground truth that was produced without any of its pruning logic.
 """
@@ -114,57 +118,71 @@ def enumerate_plans(
     A plan is expanded even when its arrows cancel to a disconnected diagram,
     since a child may be connected again.
     """
-    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
-    rank = {template.tag: r for r, template in enumerate(templates)}
-    state = GlueState(data, max_nodes)
-    interned: dict[BlockInstance, BlockInstance] = {}
-    visited: set[tuple[str, PlanTuple]] = set()
+    return _Walk(data, mode, max_blocks, max_nodes, connected).dfs((), 0)
 
-    def placements(n: int):
+
+class _Walk:
+    """The search of :func:`enumerate_plans`: one gluing state that
+    :meth:`dfs` pushes and pops as it walks the plans, the instances
+    interned in canonical form, and the visited set of entries."""
+
+    def __init__(
+        self, data: BlockData, mode: str, max_blocks: int, max_nodes: int, connected: bool
+    ):
+        self.data, self.mode, self.connected = data, mode, connected
+        self.max_blocks, self.max_nodes = max_blocks, max_nodes
+        self.templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+        self.rank = {template.tag: r for r, template in enumerate(self.templates)}
+        self.state = GlueState(data, max_nodes)
+        self.interned: dict[BlockInstance, BlockInstance] = {}
+        self.visited: set[tuple[str, PlanTuple]] = set()
+
+    def placements(self, n: int):
         """All single-instance extensions of a state on ``n`` used nodes;
-        with ``connected``, only those that use a node already in use."""
-        open_nodes = [i for i in range(n) if state.is_open(i)]
-        touch = connected and n > 0
+        with ``connected``, only those that use a node already in use.
+
+        Each template's slots are assigned one position at a time, every
+        partial assignment grown in order, which lists the assignments in
+        the order a depth-first search over the slots would."""
+        max_nodes = self.max_nodes
+        open_nodes = [i for i in range(n) if self.state.is_open(i)]
+        touch = self.connected and n > 0
         if touch and not open_nodes:
             return
-        for template in templates:
-            size, colors = template.size, template.colors
+        for template in self.templates:
+            colors = template.colors
             last_white = max((p for p, c in enumerate(colors) if c == WHITE), default=-1)
-            assignments: list[tuple[int, ...]] = []
-
-            def assign(pos: int, chosen: tuple[int, ...], fresh: int) -> None:
-                if n + fresh > max_nodes:
-                    return
-                if pos == size:
-                    assignments.append(chosen)
-                    return
-                if colors[pos] == WHITE:
-                    for node in open_nodes:
-                        if node not in chosen:
-                            assign(pos + 1, chosen + (node,), fresh)
-                # A fresh node: always the next unused id (first-use order).
-                # Under ``touch``, a slot takes one while an earlier slot
-                # holds a used node or a later white slot still can.
-                if n + fresh < max_nodes and (not touch or fresh < pos or pos < last_white):
-                    assign(pos + 1, chosen + (n + fresh,), fresh + 1)
-
-            assign(0, (), 0)
-            for nodes in assignments:
+            partial: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (nodes, fresh ones)
+            for pos, color in enumerate(colors):
+                grown = []
+                for chosen, fresh in partial:
+                    if color == WHITE:
+                        grown += [(chosen + (v,), fresh) for v in open_nodes if v not in chosen]
+                    # A fresh node: always the next unused id (first-use
+                    # order).  Under ``touch``, a slot takes one while an
+                    # earlier slot holds a used node or a later white slot
+                    # still can.
+                    if n + fresh < max_nodes and (not touch or fresh < pos or pos < last_white):
+                        grown.append((chosen + (n + fresh,), fresh + 1))
+                partial = grown
+            for nodes, _ in partial:
                 yield BlockInstance(template.tag, nodes)
 
-    def canonical(inst: BlockInstance) -> BlockInstance:
+    def canonical(self, inst: BlockInstance) -> BlockInstance:
+        interned = self.interned
         canon = interned.get(inst)
         if canon is None:
-            canon = canonical_instance(data, inst)
+            canon = canonical_instance(self.data, inst)
             canon = interned[inst] = interned.setdefault(canon, canon)
         return canon
 
-    def removals(plan: PlanTuple):
+    def removals(self, plan: PlanTuple) -> list:
         """Per instance J of ``plan``: its template rank, how many of its
         nodes another instance covers, its nodes, and the node sets of the
         overlap components of ``plan - J``.  With ``connected``, a child
         ``plan + I - J`` is overlap-connected when I meets every one of them;
         without, no set is listed and every J is removable."""
+        rank, covers, connected = self.rank, self.state.covers, self.connected
         out = []
         for j, inst in enumerate(plan):
             groups: list[set[int]] = []
@@ -175,17 +193,18 @@ def enumerate_plans(
                         joined |= group
                         groups.remove(group)
                     groups.append(joined)
-            shared = sum(1 for v in inst.nodes if state.covers[v] == 2)
+            shared = sum(1 for v in inst.nodes if covers[v] == 2)
             out.append((rank[inst.tag], shared, set(inst.nodes), groups))
         return out
 
-    def dfs(plan: PlanTuple, n: int):
-        if len(plan) == max_blocks:
+    def dfs(self, plan: PlanTuple, n: int):
+        if len(plan) == self.max_blocks:
             return
+        data, mode, rank, visited = self.data, self.mode, self.rank, self.visited
+        state, covers = self.state, self.state.covers
         children: set[PlanTuple] = set()
-        scored = removals(plan)
-        covers = state.covers
-        for inst in placements(n):
+        scored = self.removals(plan)
+        for inst in self.placements(n):
             # The gate: skip inst if a removable instance outscores it.
             score = (rank[inst.tag], sum(1 for v in inst.nodes if covers[v]))
             if any(
@@ -194,7 +213,7 @@ def enumerate_plans(
                 for r, shared, nodes, groups in scored
             ):
                 continue
-            child = tuple(sorted(plan + (canonical(inst),)))
+            child = tuple(sorted(plan + (self.canonical(inst),)))
             if child in children:
                 continue
             children.add(child)
@@ -209,15 +228,8 @@ def enumerate_plans(
             if entry not in visited:
                 visited.add(entry)
                 yield found, diagram, *entry, _conjugated(generators, relabel)
-                yield from dfs(child, m)
+                yield from self.dfs(child, m)
             state.pop()
-
-    # ``dfs`` refers to itself, a cycle that would keep the visited set alive
-    # until a full collection; breaking it frees the walk as soon as it ends.
-    try:
-        yield from dfs((), 0)
-    finally:
-        del dfs
 
 
 def _mapped(data: BlockData, instances: PlanTuple, mapping: tuple[int, ...]) -> PlanTuple:

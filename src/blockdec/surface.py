@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .blocks import WHITE, BlockData
-from .diagram import QUIVER, Diagram
+from .diagram import QUIVER, Diagram, _find, _union
 from .gluing import Plan, glue
 
 Slot = tuple  # (side id, +1 | -1)
@@ -132,43 +132,28 @@ class Triangulation:
 
     def _validate_links(self, side_ends) -> None:
         """Each vertex link must be a single circle (interior vertex) or a
-        single path whose ends are boundary-segment ends."""
+        single path whose ends are boundary-segment ends.  The slot counts
+        :meth:`validate` checks first give every side-end one corner on a
+        boundary segment and two on an arc, so the links are circles and
+        such paths, and only their connectedness is left to check."""
         # Link nodes are side-ends, 2i + 0 (tail) and 2i + 1 (head) of the
         # i-th side; corners of faces join them.
         first = {sid: 2 * i for i, sid in enumerate(side_ends)}
-        links: list[list[int]] = [[] for _ in range(2 * len(first))]
+        part = list(range(2 * len(first)))  # union-find over the side-ends
         for face in self.faces:
             for (s1, d1), (s2, d2) in zip(face, face[1:] + face[:1]):
-                end1 = first[s1] + (d1 > 0)  # traversal finishes here
-                end2 = first[s2] + (d2 <= 0)  # next traversal starts here
-                links[end1].append(end2)
-                links[end2].append(end1)
-        part = [-1] * len(links)  # per end, the least end it is linked to
-        for end in range(len(links)):
-            if part[end] < 0:
-                part[end], queue = end, [end]
-                while queue:
-                    for nxt in links[queue.pop()]:
-                        if part[nxt] < 0:
-                            part[nxt] = end
-                            queue.append(nxt)
+                # This traversal finishes where the next one starts.
+                _union(part, first[s1] + (d1 > 0), first[s2] + (d2 <= 0))
 
         incident: dict[int, list[int]] = {}
         for sid, (tail, head) in side_ends.items():
             incident.setdefault(tail, []).append(first[sid])
             incident.setdefault(head, []).append(first[sid] + 1)
-        sids = list(side_ends)
         for vertex in self.vertices:
             ends = incident.get(vertex)
             if not ends:
                 raise NonSurfaceComplex(f"vertex {vertex} touches no side")
-            for end in ends:
-                sid = sids[end // 2]
-                if len(links[end]) != (1 if sid in self.bseg_ends else 2):
-                    raise NonSurfaceComplex(
-                        f"vertex {vertex}: side-end {(sid, end % 2)} has {len(links[end])} corners"
-                    )
-            if len({part[end] for end in ends}) > 1:
+            if len({_find(part, end) for end in ends}) > 1:
                 raise NonSurfaceComplex(
                     f"vertex {vertex} link is disconnected: pinched complex"
                 )
@@ -224,19 +209,6 @@ class Triangulation:
             triangles=len(self.faces),
             arcs=len(self.arc_ends),
         )
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
-def _union(parent: list[int], a: int, b: int) -> None:
-    """Join the classes of ``a`` and ``b``; a class's root is its least id."""
-    a, b = _find(parent, a), _find(parent, b)
-    if a != b:
-        parent[max(a, b)] = min(a, b)
 
 
 def assemble(data: BlockData, plan: Plan) -> Triangulation:

@@ -281,17 +281,6 @@ def test_validator_rejects_vertex_on_no_side(hexagon):
         broken.validate()
 
 
-def test_validator_rejects_wrong_corner_count(hexagon):
-    """A side-end has as many corners as its side has face slots, so once
-    ``validate`` has checked the slot counts this check cannot fail there: it
-    is reached through the link check alone, on an arc in no face."""
-    tail, head = next(iter(hexagon.arc_ends.values()))
-    broken = replace(hexagon, arc_ends={**hexagon.arc_ends, ("extra",): (tail, head)})
-    side_ends = {**broken.arc_ends, **broken.bseg_ends}
-    with pytest.raises(NonSurfaceComplex, match=r"side-end \(\('extra',\), \d\) has 0 corners"):
-        broken._validate_links(side_ends)
-
-
 def test_validator_rejects_pinched_vertex(hexagon):
     """Two opposite corners of the hexagon made one vertex: its link is two
     paths."""
