@@ -188,14 +188,9 @@ def _cmd_surface(args) -> int:
             inv = assemble(data, plan).invariants()
         except DisconnectedComplex as exc:
             raise _CliError(EXIT_INPUT, f"decomposition {index}: {exc}") from exc
-        surfaces.append(
-            {
-                "decomposition": index,
-                "plan": plan_key(data, plan),
-                "surface": inv.as_dict(),
-            }
-        )
-        lines.append(f"decomposition {index} {plan_key(data, plan)}")
+        key = plan_key(data, plan)
+        surfaces.append({"decomposition": index, "plan": key, "surface": inv.as_dict()})
+        lines.append(f"decomposition {index} {key}")
         for field, value in sorted(inv.as_dict().items()):
             if field == "boundary_marked":
                 value = ",".join(map(str, value)) or "-"

@@ -83,26 +83,13 @@ class Diagram:
     def components(self) -> list[tuple[int, ...]]:
         """The connected components, each sorted, in order of their least
         node; an isolated node is a component of its own."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
+        parent = list(range(self.node_count))
         for e in self.edges:
-            adj[e.src].append(e.dst)
-            adj[e.dst].append(e.src)
-        seen: set[int] = set()
-        components = []
-        for start in range(self.node_count):
-            if start in seen:
-                continue
-            seen.add(start)
-            stack, component = [start], []
-            while stack:
-                node = stack.pop()
-                component.append(node)
-                for other in adj[node]:
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-            components.append(tuple(sorted(component)))
-        return components
+            _union(parent, e.src, e.dst)
+        groups: dict[int, list[int]] = {}
+        for node in range(self.node_count):
+            groups.setdefault(_find(parent, node), []).append(node)
+        return [tuple(group) for group in groups.values()]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

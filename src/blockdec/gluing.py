@@ -30,13 +30,14 @@ there, calling :func:`net_with_arrow` for every pair it checks.
 
 :class:`GlueState` is the one record of rules 1 to 3: per-node slot use and
 per-pair signed nets, kept up to date as instances are pushed and popped.
-:func:`glue` and :func:`validate_plan` push a whole plan onto a fresh state;
-the decomposer and the oracle walk their search trees on one state each,
-pushing an instance on the way down and popping it on the way back.
-:meth:`GlueState.glued` turns a state into its diagram, with the rule-1 and
-rule-4 checks: :func:`glue` calls it on its fresh state, and the oracle on
-its search state at every child plan it builds.  Loading block data glues pairs of
-instances on a state to check the part lemma of :mod:`blockdec.decompose`.
+:func:`glue` pushes a whole plan onto a fresh state; the decomposer and the
+oracle walk their search trees on one state each, pushing an instance on the
+way down and popping it on the way back.  :meth:`GlueState.glued` turns a
+state into its diagram, with the rule-1 and rule-4 checks: :func:`glue` calls
+it on its fresh state, and the oracle on its search state at every child plan
+it builds.  Loading block data glues pairs of instances on a state to check
+the part lemma of :mod:`blockdec.decompose`.  Every check raises the first
+fault it finds, as a :class:`GluingError` whose ``rule`` names the rule.
 """
 
 from __future__ import annotations
@@ -88,16 +89,6 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class Violation:
-    error: type[GluingError]
-    message: str
-
-    @property
-    def rule(self) -> int:
-        return self.error.rule
-
-
-@dataclass(frozen=True)
 class GlueResult:
     diagram: Diagram
     colors: tuple[str, ...]  # per node: "white" (open) or "black" (closed)
@@ -125,42 +116,30 @@ def plan_key(data: BlockData, plan: Plan) -> str:
     return f"{canon.mode}|{body}"
 
 
-def _check_instances(data: BlockData, plan: Plan) -> list[Violation]:
-    violations = []
+def _check_instances(data: BlockData, plan: Plan) -> None:
+    """Raise the first fault of the plan's instances taken on their own."""
     if plan.mode not in MODES:
-        violations.append(Violation(BadInstance, f"unknown mode {plan.mode!r}"))
-        return violations
+        raise BadInstance(f"unknown mode {plan.mode!r}")
     allowed = set(data.tags_for_mode(plan.mode))
     for inst in plan.instances:
         if inst.tag not in data.templates:
-            violations.append(Violation(BadInstance, f"unknown block tag {inst.tag!r}"))
-            continue
+            raise BadInstance(f"unknown block tag {inst.tag!r}")
         if inst.tag not in allowed:
-            violations.append(
-                Violation(BadInstance, f"block {inst.tag} is not usable in {plan.mode} mode")
-            )
-        template = data.template(inst.tag)
-        if len(inst.nodes) != template.size:
-            violations.append(
-                Violation(
-                    BadInstance,
-                    f"block {inst.tag} takes {template.size} nodes, got {len(inst.nodes)}",
-                )
-            )
-            continue
+            raise BadInstance(f"block {inst.tag} is not usable in {plan.mode} mode")
+        size = data.template(inst.tag).size
+        if len(inst.nodes) != size:
+            raise BadInstance(f"block {inst.tag} takes {size} nodes, got {len(inst.nodes)}")
         if any(n < 0 for n in inst.nodes):
-            violations.append(Violation(BadInstance, f"negative node id in {inst.tag} instance"))
+            raise BadInstance(f"negative node id in {inst.tag} instance")
         if len(set(inst.nodes)) != len(inst.nodes):
-            violations.append(
-                Violation(BadInstance, f"block {inst.tag} placed on repeated node {inst.nodes}")
-            )
+            raise BadInstance(f"block {inst.tag} placed on repeated node {inst.nodes}")
     # Fewer slots than ids 0..max cannot cover them; say so before any state
     # sized by the largest id is built.
     slots = [n for inst in plan.instances for n in inst.nodes]
-    if not violations and max(slots, default=-1) >= len(slots):
-        message = f"uncovered node ids: {len(slots)} slots cannot cover 0..{max(slots)}"
-        violations.append(Violation(CoverageViolation, message))
-    return violations
+    if max(slots, default=-1) >= len(slots):
+        raise CoverageViolation(
+            f"uncovered node ids: {len(slots)} slots cannot cover 0..{max(slots)}"
+        )
 
 
 def net_with_arrow(
@@ -232,25 +211,6 @@ class GlueState:
         """Covered once, through a white slot."""
         return self.covers[node] == 1 and not self.blacks[node]
 
-    def occupancy_violations(self, node_count: int | None = None) -> list[Violation]:
-        """Rule-1 violations on nodes ``0..node_count-1`` (default: all):
-        overlaps by node, then uncovered nodes."""
-        covers_of = self.covers[:node_count]
-        violations = []
-        for node, covers in enumerate(covers_of):
-            if covers > 2:
-                violations.append(
-                    Violation(OverlapViolation, f"node {node} is covered by {covers} blocks")
-                )
-            elif covers == 2 and self.blacks[node]:
-                violations.append(
-                    Violation(OverlapViolation, f"node {node} is shared through a black slot")
-                )
-        missing = [node for node, covers in enumerate(covers_of) if not covers]
-        if missing:
-            violations.append(Violation(CoverageViolation, f"uncovered node ids: {missing}"))
-        return violations
-
     def glued(self, mode: str, node_count: int) -> GlueResult:
         """The diagram on nodes ``0..node_count-1`` that the pushed instances
         glue to, or raise the first rule-1 violation, then the first illegal
@@ -258,8 +218,15 @@ class GlueState:
 
         A node's colour is white when one more block could still attach there.
         """
-        for v in self.occupancy_violations(node_count):
-            raise v.error(v.message)
+        covers_of, blacks = self.covers[:node_count], self.blacks
+        for node, covers in enumerate(covers_of):
+            if covers > 2:
+                raise OverlapViolation(f"node {node} is covered by {covers} blocks")
+            if covers == 2 and blacks[node]:
+                raise OverlapViolation(f"node {node} is shared through a black slot")
+        missing = [node for node, covers in enumerate(covers_of) if not covers]
+        if missing:
+            raise CoverageViolation(f"uncovered node ids: {missing}")
         edges = []
         for (a, b), (unit, heavy) in sorted(self.nets.items()):
             direction, weight = _resolve_pair(unit, heavy)
@@ -341,29 +308,13 @@ def open_nets(
     }
 
 
-def validate_plan(data: BlockData, plan: Plan) -> list[Violation]:
-    """All rule violations of a plan (empty list means the plan glues)."""
-    violations = _check_instances(data, plan)
-    if violations:
-        return violations
-    state = GlueState.of(data, plan)
-    violations.extend(state.occupancy_violations())
-    for (a, b), (unit, heavy) in sorted(state.nets.items()):
-        try:
-            _resolve_pair(unit, heavy)
-        except GluingError as exc:
-            violations.append(Violation(type(exc), f"pair ({a}, {b}): {exc}"))
-    return violations
-
-
 def glue(data: BlockData, plan: Plan) -> GlueResult:
     """Glue a plan into a diagram, or raise a GluingError.
 
     The resulting diagram's nodes are exactly the covered ids ``0..max``; a
     node's colour is white when one more block could still attach there.
     """
-    for v in _check_instances(data, plan):
-        raise v.error(v.message)
+    _check_instances(data, plan)
     if not plan.instances:
         raise CoverageViolation("empty plan covers no nodes")
     state = GlueState.of(data, plan)

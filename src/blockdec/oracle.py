@@ -218,8 +218,7 @@ class _Walk:
                 continue
             children.add(child)
             found = Plan(mode, child)
-            for v in _check_instances(data, found):
-                raise v.error(v.message)
+            _check_instances(data, found)
             m = max(n, max(inst.nodes) + 1)
             state.push(inst)
             diagram = state.glued(mode, m).diagram

@@ -166,7 +166,10 @@ class Triangulation:
             + len(self.faces)
         )
 
-    def _boundary_cycles(self) -> list[list[int]]:
+    @cached_property
+    def boundary_cycles(self) -> list[list[int]]:
+        """The boundary cycles, walked once: :meth:`validate` checks them and
+        :meth:`invariants` reads them."""
         following: dict[int, int] = {}  # boundary vertex -> head of its segment
         for tail, head in self.bseg_ends.values():
             if tail in following:
@@ -186,12 +189,6 @@ class Triangulation:
                 vertex = following.pop(vertex)
             cycles.append(cycle)
         return cycles
-
-    @cached_property
-    def boundary_cycles(self) -> list[list[int]]:
-        """The boundary cycles, walked once: :meth:`validate` checks them and
-        :meth:`invariants` reads them."""
-        return self._boundary_cycles()
 
     def invariants(self) -> SurfaceInvariants:
         cycles = self.boundary_cycles

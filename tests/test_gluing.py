@@ -25,7 +25,6 @@ from blockdec.gluing import (
     plan_key,
     serialize_plan,
     target_nets,
-    validate_plan,
 )
 from blockdec.oracle import random_plan
 
@@ -155,13 +154,10 @@ class TestRuleViolations:
         try:
             with pytest.raises(CoverageViolation) as info:
                 glue(data, plan)
-            violations = validate_plan(data, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(str(info.value)) < 100
-        assert [v.error for v in violations] == [CoverageViolation]
-        assert len(violations[0].message) < 100
         assert peak < 1_000_000
 
     def test_empty_plan(self, data):
@@ -184,16 +180,43 @@ class TestRuleViolations:
         with pytest.raises(BadInstance):
             glue(data, qplan(("Pentagon", (0, 1))))
 
-    def test_validate_plan_collects_rule_numbers(self, data):
-        plan = qplan(("Infork", (0, 1, 2)), ("Spike", (1, 4)))
-        violations = validate_plan(data, plan)
-        assert violations
-        assert {v.rule for v in violations} == {1}
-        messages = " ".join(v.message for v in violations)
-        assert "black" in messages and "uncovered" in messages
-
-    def test_validate_plan_empty_for_legal(self, data):
-        assert validate_plan(data, qplan(("Spike", (0, 1)))) == []
+    @pytest.mark.parametrize(
+        "instances, error, message",
+        [
+            (
+                [("Infork", (0, 1, 2)), ("Spike", (1, 4))],
+                OverlapViolation,
+                "node 1 is shared through a black slot",
+            ),
+            (
+                [("Pentagon", (0, 1)), ("Triangle", (0, 1))],
+                BadInstance,
+                "unknown block tag 'Pentagon'",
+            ),
+            (
+                [("Ia", (0, 1, 2, 3, 4, 5))],
+                BadInstance,
+                "block Ia is not usable in quiver mode",
+            ),
+            (
+                [("Spike", (0, 1)), ("Spike", (0, 2)), ("Spike", (0, 3)), ("Spike", (5, 6))],
+                OverlapViolation,
+                "node 0 is covered by 3 blocks",
+            ),
+            (
+                [("Spike", (0, 2)), ("Spike", (1, 1))],
+                BadInstance,
+                "block Spike placed on repeated node (1, 1)",
+            ),
+        ],
+    )
+    def test_first_fault_is_raised(self, data, instances, error, message):
+        """A plan with several faults raises the first one checked: instance
+        by instance, then overlaps in node order, then uncovered nodes."""
+        with pytest.raises(GluingError) as info:
+            glue(data, qplan(*instances))
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def random_plans(data, mode, count=200):

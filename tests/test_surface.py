@@ -284,7 +284,7 @@ def test_validator_rejects_vertex_on_no_side(hexagon):
 def test_validator_rejects_pinched_vertex(hexagon):
     """Two opposite corners of the hexagon made one vertex: its link is two
     paths."""
-    (cycle,) = hexagon._boundary_cycles()
+    (cycle,) = hexagon.boundary_cycles
     keep, merge = cycle[0], cycle[3]
     moved = lambda ends: {s: tuple(keep if v == merge else v for v in e) for s, e in ends.items()}  # noqa: E731
     broken = replace(
