@@ -166,15 +166,17 @@ class BlockTemplate:
 class ModeTables:
     """What the decomposer reads for one mode, compiled when the data loads.
 
-    ``templates`` are the templates the mode admits, in data order.
     ``open_nets`` maps each set of nets that a pair may end with (each value
     of :func:`~blockdec.gluing.target_nets`, and
     :data:`~blockdec.gluing.NO_EDGE`) to that set plus the nets that one more
-    arrow of those templates turns into one of them.
+    arrow of the templates the mode admits turns into one of them.
+    ``orders`` holds those templates' placement orders in data order, in one
+    list, each with the template's tag, blacks, degrees and
+    ``canonical_assignment``.
     """
 
-    templates: tuple[BlockTemplate, ...]
     open_nets: dict[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]
+    orders: tuple[tuple[str, tuple[bool, ...], tuple[int, ...], Callable, int, tuple], ...]
 
 
 class PieceTables(NamedTuple):
@@ -312,7 +314,12 @@ def _compile_mode(data: BlockData, mode: str) -> ModeTables:
     from .gluing import open_nets  # gluing imports this module
 
     templates = tuple(data.template(tag) for tag in data.tags_for_mode(mode))
-    return ModeTables(templates, open_nets(templates))
+    orders = tuple(
+        (t.tag, t.blacks, t.degrees, t.canonical_assignment, start, steps)
+        for t in templates
+        for start, steps in t.placement_orders
+    )
+    return ModeTables(open_nets(templates), orders)
 
 
 def _check_part_lemma(data: BlockData) -> None:

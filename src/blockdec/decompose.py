@@ -15,8 +15,9 @@ that glues exactly to the target.  The search is a backtracking enumeration:
   pairs the block's edges touch.  A placement that would close a node with
   an unsettled pair is a dead end: a closed node takes no further block, so
   its pairs never change again.  Only the block's own nodes can close, and
-  the block's pairs at a closing node freeze and must settle, so comparing
-  the counts with those pairs decides this exactly, before any push.
+  the block's edges at a closing node must settle every unsettled pair
+  there, so such a label needs exactly as many edges as the node has
+  unsettled pairs; that equality is checked before any edge.
 * Branching happens at a single *pivot* node per state -- the lowest node of
   an unsettled pair, else the lowest uncovered node.  Every valid completion
   must place a block on the pivot, so branching over all placements there is
@@ -32,10 +33,10 @@ that glues exactly to the target.  The search is a backtracking enumeration:
   its black labels, edge degrees and placement orders, each step with its
   anchor label, whether its candidates are the anchor's neighbours only,
   and its joining edges, each flagged when an end is black
-  (:class:`~blockdec.blocks.PlacementStep`); per mode, the templates and
-  the nets one more arrow can still turn into a target's
-  (:class:`~blockdec.blocks.ModeTables`).  A state's placements are one
-  flat loop over those tables.
+  (:class:`~blockdec.blocks.PlacementStep`); per mode, the nets one more
+  arrow can still turn into a target's and one flat list of the placement
+  orders (:class:`~blockdec.blocks.ModeTables`).  A state's placements are
+  one loop over that list, each kept as its tag and canonical nodes.
 * A state with every node covered and every pair realised is emitted -- and
   never extended: any strict superset would need two extra slots per touched
   node, which coverage has already spent.
@@ -100,11 +101,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice, product
 
-from .blocks import BlockData, BlockTemplate, load_block_data
+from .blocks import BlockData, load_block_data
 from .diagram import Diagram, make_diagram
 from .gluing import (
-    NO_EDGE, BlockInstance, GlueState, Plan, canonical_instance, net_with_arrow, plan_key,
-    target_nets,
+    NO_EDGE, BlockInstance, GlueState, Plan, net_with_arrow, plan_key, target_nets,
 )
 
 
@@ -138,7 +138,7 @@ class _Search:
         self.limit = limit
         n = diagram.node_count
         tables = data.modes[diagram.mode]
-        self.templates = tables.templates
+        self.orders = tables.orders
         # Per pair: the nets that may stand once it is frozen.  A pair missing
         # here carries no target edge.  While one more block can still reach
         # a pair, ``open_nets`` of its final set may stand.
@@ -166,9 +166,9 @@ class _Search:
         self.lonely = tuple([v for v in range(n) if not near[v]])
         self.balls: list[tuple[int, ...] | None] = [None] * n
 
-        # Instances are interned to ids; a partial plan is the sorted tuple of
-        # its instances' ids.
-        self.ids: dict[BlockInstance, int] = {}
+        # Instances are interned to ids by their (tag, nodes) key; a partial
+        # plan is the sorted tuple of its instances' ids.
+        self.ids: dict[tuple[str, tuple[int, ...]], int] = {}
         self.instances: list[BlockInstance] = []
         self.visited: set[tuple[int, ...]] = set()
         self.found: set[tuple[BlockInstance, ...]] = set()
@@ -182,13 +182,13 @@ class _Search:
         """All canonical single-block placements covering the pivot node that
         strand no unsettled pair, sorted, each with its id.
 
-        Each placement order of each template puts its start label on the
-        pivot and walks its steps depth first, one candidate iterator per
-        step.  A candidate must be unused in the placement and accept the
-        label's slot.  A label that closes its node must settle every
-        unsettled pair there, so it needs at least as many template edges;
-        labels that fail this are cut at once.  Then the pairs of the step's
-        joining edges are checked against the targets; the pairs of earlier
+        Each placement order of the mode puts its start label on the pivot
+        and walks its steps depth first, one candidate iterator per step.  A
+        candidate must be unused in the placement and accept the label's
+        slot.  A label that closes its node needs exactly as many template
+        edges as the node has unsettled pairs (below); labels that fail this
+        are cut at once.  Then the pairs of the step's joining edges are
+        checked against the targets; the pairs of earlier
         steps passed already and cannot change within one extension.  A pair
         freezes after this block if an endpoint is black in it or covered
         already, and its net must then be final.  Otherwise both endpoints
@@ -196,77 +196,79 @@ class _Search:
         there.
 
         No completed placement strands a pair at a node it closes, so none
-        is checked again.  Each template edge at a closing label lands on a
-        pair that freezes with a final net, and no final net set holds two
-        nets one arrow apart, so that pair was unsettled before; templates
-        have no parallel edges, so these pairs are distinct.  The label's
-        edges thus number at most the node's unsettled pairs, and the cut
-        above makes them at least as many: they settle every one.
+        is checked again, and the cut drops no completed placement.  Each
+        template edge at a closing label lands on a pair that freezes with a
+        final net, and no final net set holds two nets one arrow apart, so
+        that pair was unsettled before; templates have no parallel edges, so
+        these pairs are distinct.  The label's edges thus number at most the
+        node's unsettled pairs, and they must settle every one, so they
+        number exactly as many.
         """
         state, final, open_nets = self.state, self.final, self.open_nets
         covers, blacks, nets = state.covers, state.blacks, state.nets
         unsettled_at, neighbours, balls = self.unsettled_at, self.neighbours, self.balls
-        out: set[BlockInstance] = set()
+        out: set[tuple[str, tuple[int, ...]]] = set()
+        placements = 0
         # The pivot's slot use and unsettled pairs, which every start label meets.
         covered, count = covers[pivot], unsettled_at[pivot]
         closed = covered > 1 or blacks[pivot]
-        for template in self.templates:
-            is_black, degrees = template.blacks, template.degrees
-            for start, steps in template.placement_orders:
-                black = is_black[start]
-                if covered and (closed or black):
-                    continue
-                if (covered or black) and count > degrees[start]:
-                    continue
-                nodes = [pivot] * len(is_black)
-                if not steps:
-                    self._complete(template, tuple(nodes), out)
-                    continue
-                placed = [pivot]  # the nodes of the start and of the steps before ``depth``
-                candidates = [iter(())] * len(steps)
-                depth, descended = 0, True
-                while depth >= 0:
-                    pos, anchor, adjacent, edges = steps[depth]
-                    if descended:
-                        near = nodes[anchor]
-                        ring = neighbours[near] if adjacent else balls[near] or self._ball(near)
-                        candidates[depth] = iter(ring)
-                        descended = False
-                    black, degree = is_black[pos], degrees[pos]
-                    for node in candidates[depth]:
-                        if node in placed:
-                            continue
-                        c = covers[node]
-                        if c and (c > 1 or black or blacks[node]):
-                            continue
-                        if (c or black) and unsettled_at[node] > degree:
-                            continue
-                        nodes[pos] = node
-                        for f, t, w, hard in edges:
-                            a, b = nodes[f], nodes[t]
-                            key, net = net_with_arrow(nets, a, b, w)
-                            allowed = final.get(key, NO_EDGE)
-                            if not (hard or covers[a] or covers[b]):
-                                allowed = open_nets[allowed]
-                            if net not in allowed:
-                                break
-                        else:
-                            if depth + 1 < len(steps):
-                                placed.append(node)
-                                depth, descended = depth + 1, True
-                                break
-                            self._complete(template, tuple(nodes), out)
+        for tag, is_black, degrees, canonical, start, steps in self.orders:
+            black = is_black[start]
+            if covered and (closed or black):
+                continue
+            if (covered or black) and count != degrees[start]:
+                continue
+            nodes = [pivot] * len(is_black)
+            if not steps:
+                placements += 1
+                out.add((tag, canonical(tuple(nodes))))
+                continue
+            placed = [pivot]  # the nodes of the start and of the steps before ``depth``
+            candidates = [iter(())] * len(steps)
+            depth, descended = 0, True
+            while depth >= 0:
+                pos, anchor, adjacent, edges = steps[depth]
+                if descended:
+                    near = nodes[anchor]
+                    ring = neighbours[near] if adjacent else balls[near] or self._ball(near)
+                    candidates[depth] = iter(ring)
+                    descended = False
+                black, degree = is_black[pos], degrees[pos]
+                for node in candidates[depth]:
+                    if node in placed:
+                        continue
+                    c = covers[node]
+                    if c and (c > 1 or black or blacks[node]):
+                        continue
+                    if (c or black) and unsettled_at[node] != degree:
+                        continue
+                    nodes[pos] = node
+                    for f, t, w, hard in edges:
+                        a, b = nodes[f], nodes[t]
+                        key, net = net_with_arrow(nets, a, b, w)
+                        allowed = final.get(key, NO_EDGE)
+                        if not (hard or covers[a] or covers[b]):
+                            allowed = open_nets[allowed]
+                        if net not in allowed:
+                            break
                     else:
-                        depth -= 1
-                        placed.pop()
+                        if depth + 1 < len(steps):
+                            placed.append(node)
+                            depth, descended = depth + 1, True
+                            break
+                        placements += 1
+                        out.add((tag, canonical(tuple(nodes))))
+                else:
+                    depth -= 1
+                    placed.pop()
+        self.placements += placements
         self.expansions += 1
         self.dead_ends += not out
-        return [(inst, self._id(inst)) for inst in sorted(out)]
-
-    def _complete(self, template: BlockTemplate, nodes: tuple[int, ...], out: set) -> None:
-        """Add the completed placement ``nodes`` to ``out``, canonical."""
-        self.placements += 1
-        out.add(canonical_instance(self.data, BlockInstance(template.tag, nodes)))
+        ids, instances = self.ids, self.instances
+        for key in sorted(out.difference(ids)):
+            ids[key] = len(instances)
+            instances.append(BlockInstance(*key))
+        return [(instances[i], i) for i in map(ids.__getitem__, sorted(out))]
 
     def _ball(self, node: int) -> tuple[int, ...]:
         """The distance-2 ball of ``node`` without it, ascending, or every
@@ -277,29 +279,15 @@ class _Search:
         ball = self.balls[node] = tuple(sorted(ring)) if ring else self.lonely
         return ball
 
-    def _id(self, inst: BlockInstance) -> int:
-        i = self.ids.setdefault(inst, len(self.instances))
-        if i == len(self.instances):
-            self.instances.append(inst)
-        return i
-
     # -- search state -----------------------------------------------------------
 
-    def _push(self, inst: BlockInstance) -> None:
-        self.state.push(inst)
-        self._resettle(inst)
-        self.uncovered -= sum(self.state.covers[v] == 1 for v in inst.nodes)
-
-    def _pop(self) -> None:
-        inst = self.state.pop()
-        self._resettle(inst)
-        self.uncovered += sum(self.state.covers[v] == 0 for v in inst.nodes)
-
-    def _resettle(self, inst: BlockInstance) -> None:
+    def _resettle(self, inst: BlockInstance, sign: int) -> None:
         """Update ``unsettled`` on the pairs that the edges of ``inst``, just
-        pushed or popped, touch."""
-        nets, final, unsettled, count = self.state.nets, self.final, self.unsettled, self.unsettled_at
-        nodes = inst.nodes
+        pushed (``sign`` 1) or popped (-1), touch, and ``uncovered`` on its
+        nodes: a node now covered once was uncovered, one covered no more is."""
+        final, unsettled, count = self.final, self.unsettled, self.unsettled_at
+        nets, covers, nodes = self.state.nets, self.state.covers, inst.nodes
+        self.uncovered -= sign * [covers[v] for v in nodes].count(1 if sign > 0 else 0)
         for f, t, _ in self.data.template(inst.tag).index_edges:
             a, b = nodes[f], nodes[t]
             pair = (a, b) if a < b else (b, a)
@@ -335,7 +323,8 @@ class _Search:
                 if child in self.visited:
                     self.dedup_hits += 1
                     continue
-                self._push(inst)
+                self.state.push(inst)
+                self._resettle(inst, 1)
                 self.visited.add(child)
                 self.states += 1
                 if self.unsettled or self.uncovered:
@@ -343,14 +332,14 @@ class _Search:
                     break
                 # Complete: emitted, and never extended.
                 self.found.add(tuple(sorted(self.instances[j] for j in child)))
-                self._pop()
+                self._resettle(self.state.pop(), -1)
                 if len(self.found) > self.limit:
                     self.truncated = True
                     return
             else:
                 stack.pop()
                 if stack:
-                    self._pop()
+                    self._resettle(self.state.pop(), -1)
 
 
 def _parts(diagram: Diagram) -> list[tuple[int, ...]]:
@@ -381,11 +370,7 @@ def _part_plans(
         part = diagram
     else:
         index = {node: i for i, node in enumerate(nodes)}
-        edges = [
-            (index[e.src], index[e.dst], e.weight)
-            for e in diagram.edges
-            if e.src in index
-        ]
+        edges = [(index[e.src], index[e.dst], e.weight) for e in diagram.edges if e.src in index]
         part = make_diagram(len(nodes), edges, diagram.mode)
     search = _Search(part, data, limit)
     search.run()

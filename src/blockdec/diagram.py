@@ -24,6 +24,7 @@ class, so it leaves no cyclic garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 QUIVER = "quiver"
@@ -396,13 +397,17 @@ class _Labelling:
                 found.setdefault(_transposition(n, first, u))
             candidates = target[:1]  # the rest lie in its orbit
         mark = max(colors) + 1
-        explored: list[int] = []
+        # The first ``known`` generators found that fix ``path``, and the
+        # orbits of the explored siblings under them.
+        fixing, explored, known = [], set(), 0
         for v in candidates:
-            if explored and found:
-                fixing = [g for g in found if all(g[p] == p for p in path)]
-                if v in orbit(explored, fixing, tuple.__getitem__):
-                    continue
-            explored.append(v)
+            if len(found) > known:
+                fixing += [g for g in islice(found, known, None) if all(g[p] == p for p in path)]
+                known = len(found)
+                explored = orbit(explored, fixing, tuple.__getitem__)
+            if v in explored:
+                continue
+            explored |= orbit([v], fixing, tuple.__getitem__)
             child = list(colors)
             child[v] = mark
             self.visit(_refine(n, emap, child), path + (v,))

@@ -156,14 +156,20 @@ class TestCompiledTables:
 
     @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
     def test_mode_tables(self, data, mode):
-        """Per mode: the mode's templates, and for every set of nets that
+        """Per mode: the placement orders of the mode's templates in one
+        flat list, in data order, and for every set of nets that
         ``target_nets`` gives a pair of the mode, and for no edge, that set
         plus the nets one more template arrow turns into it."""
         tables = data.modes[mode]
-        assert tables.templates == tuple(data.template(tag) for tag in data.tags_for_mode(mode))
+        templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+        assert tables.orders == tuple(
+            (t.tag, t.blacks, t.degrees, t.canonical_assignment, start, steps)
+            for t in templates
+            for start, steps in t.placement_orders
+        )
         steps = {
             net_with_arrow({}, a, b, w)[1]
-            for template in tables.templates
+            for template in templates
             for _, _, w in template.index_edges
             for a, b in ((0, 1), (1, 0))
         }

@@ -15,7 +15,9 @@ from blockdec.decompose import (
     DecomposeResult, SearchStats, enumerate_decompositions, is_decomposable,
 )
 from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, relabel_diagram
-from blockdec.gluing import BlockInstance, Plan, glue, plan_key
+from blockdec.gluing import (
+    NO_EDGE, BlockInstance, Plan, canonical_instance, glue, net_with_arrow, plan_key,
+)
 from blockdec.oracle import enumerate_plans, random_plan
 
 
@@ -376,6 +378,15 @@ class TestDisjointUnions:
         ]
 
 
+def random_targets(data):
+    """The glued diagrams of 40 ``random_plan`` draws, alternating modes."""
+    rng = Random(2024)
+    return [
+        glue(data, random_plan(data, QUIVER if i % 2 else S_DIAGRAM, rng)).diagram
+        for i in range(40)
+    ]
+
+
 def stats_totals(results):
     return {
         name: sum(getattr(stats, name) for result in results for stats in result.stats)
@@ -395,14 +406,27 @@ class TestSearchStats:
         }
 
     def test_random_plan_totals(self, data):
-        rng = Random(2024)
-        results = []
-        for i in range(40):
-            plan = random_plan(data, QUIVER if i % 2 else S_DIAGRAM, rng)
-            results.append(enumerate_decompositions(glue(data, plan).diagram, data))
+        results = [enumerate_decompositions(d, data) for d in random_targets(data)]
         assert stats_totals(results) == {
             "nodes": 328, "states": 716, "dedup_hits": 68, "expansions": 676,
             "dead_ends": 415, "placements": 957, "plans": 105,
+        }
+
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    def test_isolated_part_totals(self, data, mode):
+        """The tree of an edgeless diagram, whose pivots never have an
+        unsettled pair; both modes walk the same one."""
+        whole = enumerate_decompositions(make_diagram(7, [], mode), data)
+        assert len(whole.plans) == 105 and not whole.truncated
+        assert stats_totals([whole]) == {
+            "nodes": 7, "states": 972, "dedup_hits": 324, "expansions": 868,
+            "dead_ends": 93, "placements": 1296, "plans": 105,
+        }
+        cut = enumerate_decompositions(make_diagram(10, [], mode), data, limit=50)
+        assert len(cut.plans) == 50 and cut.truncated
+        assert stats_totals([cut]) == {
+            "nodes": 10, "states": 554, "dedup_hits": 180, "expansions": 504,
+            "dead_ends": 70, "placements": 917, "plans": 51,
         }
 
     def test_one_record_per_part_in_search_order(self, data):
@@ -417,6 +441,113 @@ class TestSearchStats:
             assert s.dead_ends < s.expansions
         # The counts do not take part in comparing results.
         assert result == DecomposeResult(result.plans, result.truncated)
+
+
+def reference_extensions(search, pivot):
+    """The placements of ``search`` at ``pivot``, sorted, as a kernel that
+    walks every placement order of every template and cuts a closing label
+    only when its node has more unsettled pairs than the label has edges.
+    It reads the search's state and touches none of its counters."""
+    state, final, open_nets = search.state, search.final, search.open_nets
+    covers, blacks, nets = state.covers, state.blacks, state.nets
+    unsettled_at, neighbours, balls = search.unsettled_at, search.neighbours, search.balls
+    out = set()
+    covered, count = covers[pivot], unsettled_at[pivot]
+    closed = covered > 1 or blacks[pivot]
+    for template in search.reference_templates:
+        is_black, degrees = template.blacks, template.degrees
+        for start, steps in template.placement_orders:
+            black = is_black[start]
+            if covered and (closed or black):
+                continue
+            if (covered or black) and count > degrees[start]:
+                continue
+            nodes = [pivot] * len(is_black)
+            if not steps:
+                out.add(canonical_instance(search.data, BlockInstance(template.tag, tuple(nodes))))
+                continue
+            placed = [pivot]
+            candidates = [iter(())] * len(steps)
+            depth, descended = 0, True
+            while depth >= 0:
+                pos, anchor, adjacent, edges = steps[depth]
+                if descended:
+                    near = nodes[anchor]
+                    ring = neighbours[near] if adjacent else balls[near] or search._ball(near)
+                    candidates[depth] = iter(ring)
+                    descended = False
+                black, degree = is_black[pos], degrees[pos]
+                for node in candidates[depth]:
+                    if node in placed:
+                        continue
+                    c = covers[node]
+                    if c and (c > 1 or black or blacks[node]):
+                        continue
+                    if (c or black) and unsettled_at[node] > degree:
+                        continue
+                    nodes[pos] = node
+                    for f, t, w, hard in edges:
+                        a, b = nodes[f], nodes[t]
+                        key, net = net_with_arrow(nets, a, b, w)
+                        allowed = final.get(key, NO_EDGE)
+                        if not (hard or covers[a] or covers[b]):
+                            allowed = open_nets[allowed]
+                        if net not in allowed:
+                            break
+                    else:
+                        if depth + 1 < len(steps):
+                            placed.append(node)
+                            depth, descended = depth + 1, True
+                            break
+                        inst = BlockInstance(template.tag, tuple(nodes))
+                        out.add(canonical_instance(search.data, inst))
+                else:
+                    depth -= 1
+                    placed.pop()
+    return sorted(out)
+
+
+@pytest.fixture
+def checked_kernel(monkeypatch):
+    """Make every expansion of the search compare its placements with
+    :func:`reference_extensions`, and check that each carries its interned
+    id; yields the list of checked expansions' pivots."""
+    init, kernel = decompose._Search.__init__, decompose._Search._extensions
+    checked = []
+
+    def spy_init(self, diagram, data, limit):
+        init(self, diagram, data, limit)
+        self.reference_templates = [data.template(t) for t in data.tags_for_mode(diagram.mode)]
+
+    def spy(self, pivot):
+        expected = reference_extensions(self, pivot)
+        extensions = kernel(self, pivot)
+        assert [inst for inst, _ in extensions] == expected, pivot
+        assert all(self.instances[i] == inst for inst, i in extensions)
+        checked.append(pivot)
+        return extensions
+
+    monkeypatch.setattr(decompose._Search, "__init__", spy_init)
+    monkeypatch.setattr(decompose._Search, "_extensions", spy)
+    return checked
+
+
+class TestKernel:
+    """The kernel against :func:`reference_extensions`, expansion by
+    expansion, on the trees the search counts pin."""
+
+    def test_catalog(self, data, checked_kernel):
+        results = [enumerate_decompositions(e.diagram, data) for e in load_catalog()]
+        assert len(checked_kernel) == stats_totals(results)["expansions"] == 204
+
+    def test_random_plans(self, data, checked_kernel):
+        results = [enumerate_decompositions(d, data) for d in random_targets(data)]
+        assert len(checked_kernel) == stats_totals(results)["expansions"] == 676
+
+    @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
+    def test_edgeless(self, data, checked_kernel, mode):
+        result = enumerate_decompositions(make_diagram(7, [], mode), data)
+        assert len(checked_kernel) == stats_totals([result])["expansions"] == 868
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -336,6 +337,18 @@ class TestAutomorphisms:
             repeated += any(sizes.count(k) > 1 for k in sizes if k > 1)
             lonely += sizes.count(1) > 1
         assert repeated > 20 and lonely > 20
+
+    def test_many_equal_components(self):
+        """Twenty disjoint directed 3-cycles: each explored vertex's orbit is
+        added once, not rebuilt for every later candidate, so the search takes
+        well under a second; every generator it finds is an automorphism."""
+        edges = [(j + i, j + (i + 1) % 3, 1) for j in range(0, 60, 3) for i in range(3)]
+        d = make_diagram(60, edges)
+        start = time.perf_counter()
+        form = canonical_form(d)
+        assert time.perf_counter() - start < 3.0
+        assert len(form.generators) == 210
+        assert all(relabel_diagram(d, g) == d for g in form.generators)
 
     def test_cycle3(self):
         auts = automorphisms(cycle3())
