@@ -440,9 +440,7 @@ def enumerate_decompositions(
 def is_decomposable(
     diagram: Diagram, data: BlockData | None = None
 ) -> bool:
-    """Whether at least one block decomposition exists, that is, whether
-    every part of the diagram has one; the product is never built."""
-    if data is None:
-        data = load_block_data()
-    parts = _parts(diagram)
-    return bool(parts) and all(_part_plans(diagram, nodes, data, 1)[0] for nodes in parts)
+    """Whether at least one block decomposition exists: the search of
+    :func:`enumerate_decompositions` at limit 1, which stops at the first
+    part without a plan."""
+    return bool(enumerate_decompositions(diagram, data, limit=1).plans)

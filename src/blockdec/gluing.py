@@ -43,6 +43,7 @@ fault it finds, as a :class:`GluingError` whose ``rule`` names the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import BLACK, WHITE, BlockData, BlockTemplate
 from .diagram import Diagram, make_diagram, MODES
@@ -74,9 +75,11 @@ class MixedWeightClash(GluingError):
     rule = 3
 
 
-@dataclass(frozen=True, order=True)
-class BlockInstance:
-    """One block placed on diagram nodes; ``nodes[i]`` hosts template label i."""
+class BlockInstance(NamedTuple):
+    """One block placed on diagram nodes; ``nodes[i]`` hosts template label i.
+
+    An instance equals the plain tuple ``(tag, nodes)``, and it sorts,
+    hashes and compares as that tuple does."""
 
     tag: str
     nodes: tuple[int, ...]

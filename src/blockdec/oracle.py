@@ -6,19 +6,20 @@ state its search holds, and files the diagram under its canonical key together
 with the plan mapped into canonical coordinates, as a sorted tuple of
 canonical instances.  That pair is the plan's *entry*; the search expands one
 plan per entry, so it reaches every plan up to isomorphism, but not every
-automorphic image of one.  The index lives in memory only.  Looking a diagram
-up closes the stored plans under the diagram's automorphisms, which restores
+automorphic image of one.  The index lives in memory only.  Looking a key up
+closes the stored plans under the diagram's automorphisms, which restores
 those images: one abstract plan can stand for several concrete placements on
 a symmetric diagram.  The closure is an orbit search under the generators of
 the automorphism group that the canonical labelling finds in the same search
 as the key, so the group itself is never listed.
 
 The full index, over every plan, is the differential tests' ground truth.
-``sweep`` needs connected diagrams only, so it indexes overlap-connected plans
-alone, where each block after the first shares a node with an earlier one:
-every connected diagram keeps all its entries, and about half the children
-are never built.  It keeps, for each key at first sight, the generators and
-whether the diagram is connected, so it never rebuilds a diagram from its key.
+``sweep`` needs connected diagrams only, so it builds the index over
+overlap-connected plans alone, where each block after the first shares a node
+with an earlier one: every connected diagram keeps all its entries, and about
+half the children are never built.  At each key's first plan,
+:func:`build_index` keeps the generators, and with ``connected`` it drops the
+key if its diagram is disconnected, so no diagram is rebuilt from its key.
 
 Before a child is glued, a cheap isomorphism-invariant score gates it, in the
 manner of canonical augmentation: the child is built only if the instance
@@ -40,10 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable
 
 from .blocks import WHITE, BlockData, load_block_data
-from .diagram import Diagram, canonical_form, orbit
+from .diagram import canonical_form, orbit
 from .gluing import (
     BlockInstance,
     GlueState,
@@ -254,41 +254,28 @@ def _conjugated(generators: Generators, relabel: tuple[int, ...]) -> Generators:
     return tuple(out)
 
 
-def _closure(
-    data: BlockData, stored: Iterable[PlanTuple], generators: Generators
-) -> frozenset[PlanTuple]:
-    """``stored``, plans on a diagram in the canonical coordinates its key
-    spells out, closed under the automorphism group that ``generators``, in
-    the same coordinates, generate: the orbits of the stored plans, found by
-    mapping each plan reached under each generator until no new plan comes."""
-    return frozenset(orbit(stored, generators, lambda g, plan: _mapped(data, plan, g)))
-
-
 @dataclass(frozen=True)
 class OracleIndex:
     """Canonical diagram key -> plans in canonical coordinates, each a sorted
-    tuple of canonical instances.  The plans of a key are one or more per
-    isomorphism class of plan, not closed under the diagram's automorphisms."""
+    tuple of canonical instances, and per key generators of the automorphism
+    group of the diagram the key spells out, in the same coordinates.  The
+    plans of a key are one or more per isomorphism class of plan, not closed
+    under the diagram's automorphisms."""
 
-    mode: str
-    max_blocks: int
-    max_nodes: int
     entries: dict[str, frozenset[PlanTuple]]
+    generators: dict[str, Generators]
 
-    def closed_plans(
-        self, diagram: Diagram, data: BlockData | None = None
-    ) -> frozenset[PlanTuple]:
-        """All decompositions of ``diagram`` in its canonical coordinates,
-        closed under the diagram's automorphisms, whose generators come
-        from the same :func:`~blockdec.diagram.canonical_form` call that
-        finds the key."""
-        key, relabel, generators = canonical_form(diagram)
-        stored = self.entries.get(key, frozenset())
+    def closed_plans(self, key: str, data: BlockData) -> frozenset[PlanTuple]:
+        """All decompositions of the diagram ``key`` spells out, in its
+        canonical coordinates: the orbits of the stored plans under the
+        stored generators, found by mapping each plan reached under each
+        generator until no new plan comes."""
+        stored = self.entries.get(key)
         if not stored:
             return frozenset()
-        if data is None:
-            data = load_block_data()
-        return _closure(data, stored, _conjugated(generators, relabel))
+        return frozenset(
+            orbit(stored, self.generators[key], lambda g, plan: _mapped(data, plan, g))
+        )
 
 
 def build_index(
@@ -302,20 +289,27 @@ def build_index(
 
     ``max_nodes`` bounds the abstract node supply (default: enough for fully
     disjoint placements, five nodes per block).  With ``connected``, only
-    overlap-connected plans are indexed (see :func:`enumerate_plans`): every
-    connected diagram keeps exactly its entries, and the only other keys are
-    disconnected diagrams left by arrows that cancel.
+    connected diagrams are indexed, from overlap-connected plans alone (see
+    :func:`enumerate_plans`), and each keeps exactly its entries.  The first
+    plan of each key brings the generators its plans are closed under and
+    tells whether its diagram is connected.
     """
     if data is None:
         data = load_block_data()
     if max_nodes is None:
         max_nodes = 5 * max_blocks
     entries: dict[str, set[PlanTuple]] = {}
-    for _, _, key, canonical, _ in enumerate_plans(data, mode, max_blocks, max_nodes, connected):
-        entries.setdefault(key, set()).add(canonical)
+    generators: dict[str, Generators | None] = {}  # None: disconnected, dropped
+    for _, diagram, key, canonical, gens in enumerate_plans(
+        data, mode, max_blocks, max_nodes, connected
+    ):
+        if key not in generators:
+            generators[key] = gens if not connected or diagram.is_connected() else None
+        if generators[key] is not None:
+            entries.setdefault(key, set()).add(canonical)
     return OracleIndex(
-        mode, max_blocks, max_nodes,
         {k: frozenset(v) for k, v in entries.items()},
+        {k: generators[k] for k in entries},
     )
 
 
@@ -325,30 +319,14 @@ def sweep_nonunique(
     data: BlockData | None = None,
 ) -> dict[str, int]:
     """Connected diagrams on at most ``max_nodes`` nodes with two or more
-    inequivalent decompositions: canonical key -> decomposition count.
-
-    Only connected diagrams are reported, and every plan of one is
-    overlap-connected, so only those plans are enumerated, as
-    :func:`build_index` does with ``connected``.  The first plan of each key
-    tells whether its diagram is connected and brings the generators its
-    plans are closed under; the plans of a disconnected one are dropped."""
+    inequivalent decompositions: canonical key -> decomposition count, read
+    off the connected index of up to ``max_nodes`` blocks (see
+    :func:`build_index`)."""
     if data is None:
         data = load_block_data()
-    plans: dict[str, set[PlanTuple]] = {}
-    groups: dict[str, Generators | None] = {}  # None: the diagram is disconnected
-    for _, diagram, key, canonical, generators in enumerate_plans(
-        data, mode, max_nodes, max_nodes, connected=True
-    ):
-        if key not in groups:
-            groups[key] = generators if diagram.is_connected() else None
-        if groups[key] is not None:
-            plans.setdefault(key, set()).add(canonical)
-    result: dict[str, int] = {}
-    for key, stored in plans.items():
-        count = len(_closure(data, stored, groups[key]))
-        if count >= 2:
-            result[key] = count
-    return result
+    index = build_index(max_nodes, mode, data, max_nodes, connected=True)
+    counts = {key: len(index.closed_plans(key, data)) for key in index.entries}
+    return {key: count for key, count in counts.items() if count >= 2}
 
 
 def random_plan(

@@ -133,8 +133,8 @@ def test_criterion_3_oracle_equivalence():
         total += 1
         # closed_plans answers in the diagram's canonical coordinates; map the
         # decomposer's plans through the same relabelling before comparing.
-        relabel = canonical_form(diagram).relabel
-        expected = index.closed_plans(diagram, DATA)
+        key, relabel, _ = canonical_form(diagram)
+        expected = index.closed_plans(key, DATA)
         found = set()
         for p in enumerate_decompositions(diagram, DATA).plans:
             mapped = Plan(

@@ -109,6 +109,11 @@ def test_decompose_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", str(bad))
     assert code == 2 and "bad diagram" in err
 
+    # Antiparallel edges do not cancel in a diagram file: they are refused.
+    bad.write_text("nodes 2\nedge 0 1 1\nedge 1 0 1\n")
+    code, _, err = run(capsys, "decompose", str(bad))
+    assert code == 2 and "bad diagram: opposite edges between 0 and 1" in err
+
 
 def test_decompose_limit_truncation_is_internal_error(capsys, tmp_path):
     path = tmp_path / "star.txt"
