@@ -8,7 +8,14 @@ nodes and are the sites along which pieces are glued together.
 
 The built-in templates and pieces live in ``data/blocks.txt``; the
 ``BLOCKDEC_DATA`` environment variable may point at a directory containing an
-alternative ``blocks.txt`` (and ``catalog.txt``).
+alternative ``blocks.txt`` (and ``catalog.txt``).  In the package only the
+command line loads them; every engine function takes the loaded
+:class:`BlockData` as an argument.
+
+The modules import one way, in the order ``diagram``, ``gluing``, this
+module, then ``decompose``, ``oracle`` and ``surface``, then ``catalog`` and
+``cli``.  This module sits above ``gluing`` because the colours are rule 1's
+and loading the data glues instances to check the part lemma.
 """
 
 from __future__ import annotations
@@ -29,12 +36,10 @@ from .diagram import (
     Diagram,
     make_diagram,
 )
+from .gluing import BLACK, WHITE, BlockInstance, GlueState, open_nets
 
 ELEMENTARY_TAGS = ("Spike", "Triangle", "Infork", "Outfork", "Diamond", "Square")
 UNFOLDING_TAGS = ("Ia", "Ib", "II", "IIIa", "IIIb", "IV", "V")
-
-WHITE = "white"
-BLACK = "black"
 
 
 class BlockDataError(ValueError):
@@ -166,15 +171,18 @@ class BlockTemplate:
 class ModeTables:
     """What the decomposer reads for one mode, compiled when the data loads.
 
+    ``tags`` are the block tags the mode admits, in data order: s-diagrams
+    admit every block, quivers only the weight-1 (elementary) ones.
     ``open_nets`` maps each set of nets that a pair may end with (each value
     of :func:`~blockdec.gluing.target_nets`, and
     :data:`~blockdec.gluing.NO_EDGE`) to that set plus the nets that one more
-    arrow of the templates the mode admits turns into one of them.
+    arrow of those templates turns into one of them.
     ``orders`` holds those templates' placement orders in data order, in one
     list, each with the template's tag, blacks, degrees and
     ``canonical_assignment``.
     """
 
+    tags: tuple[str, ...]
     open_nets: dict[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]
     orders: tuple[tuple[str, tuple[bool, ...], tuple[int, ...], Callable, int, tuple], ...]
 
@@ -202,8 +210,8 @@ class BlockData:
 
     templates: dict[str, BlockTemplate]
     pieces: dict[str, Piece]
-    modes: dict[str, ModeTables] = field(default_factory=dict, compare=False, repr=False)
-    piece_tables: dict[str, PieceTables] = field(default_factory=dict, compare=False, repr=False)
+    modes: dict[str, ModeTables] = field(compare=False, repr=False)
+    piece_tables: dict[str, PieceTables] = field(compare=False, repr=False)
 
     def template(self, tag: str) -> BlockTemplate:
         try:
@@ -215,11 +223,8 @@ class BlockData:
         return self.pieces[self.template(tag).piece_id]
 
     def tags_for_mode(self, mode: str) -> tuple[str, ...]:
-        """Block tags usable in a given mode: s-diagrams admit every block,
-        quivers only the weight-1 (elementary) ones."""
-        if mode == QUIVER:
-            return tuple(t for t in self.templates if self.templates[t].is_elementary)
-        return tuple(self.templates)
+        """Block tags usable in a given mode (see :class:`ModeTables`)."""
+        return self.modes[mode].tags
 
 
 def _compute_automorphisms(
@@ -309,17 +314,15 @@ def _compile_piece(template: BlockTemplate, piece: Piece) -> PieceTables:
     )
 
 
-def _compile_mode(data: BlockData, mode: str) -> ModeTables:
+def _compile_mode(templates: dict[str, BlockTemplate], mode: str) -> ModeTables:
     """The decomposer's tables for ``mode``."""
-    from .gluing import open_nets  # gluing imports this module
-
-    templates = tuple(data.template(tag) for tag in data.tags_for_mode(mode))
+    admitted = tuple(t for t in templates.values() if mode != QUIVER or t.is_elementary)
     orders = tuple(
         (t.tag, t.blacks, t.degrees, t.canonical_assignment, start, steps)
-        for t in templates
+        for t in admitted
         for start, steps in t.placement_orders
     )
-    return ModeTables(open_nets(templates), orders)
+    return ModeTables(tuple(t.tag for t in admitted), open_nets(admitted), orders)
 
 
 def _check_part_lemma(data: BlockData) -> None:
@@ -337,8 +340,6 @@ def _check_part_lemma(data: BlockData) -> None:
     so one pass covers both modes; a failing pair of elementary templates
     fails in quiver mode too.
     """
-    from .gluing import BlockInstance, GlueState  # gluing imports this module
-
     templates = list(data.templates.values())
     state = GlueState(data, 2 * max((t.size for t in templates), default=0))
     for s in templates:
@@ -618,13 +619,14 @@ def parse_block_data(text: str) -> BlockData:
         _validate_template(template, pieces[rb["piece"]])
         templates[template.tag] = _compile(template)
 
-    data = BlockData(templates=templates, pieces=pieces)
-    _check_part_lemma(data)
-    return replace(
-        data,
-        modes={mode: _compile_mode(data, mode) for mode in MODES},
+    data = BlockData(
+        templates=templates,
+        pieces=pieces,
+        modes={mode: _compile_mode(templates, mode) for mode in MODES},
         piece_tables={tag: _compile_piece(t, pieces[t.piece_id]) for tag, t in templates.items()},
     )
+    _check_part_lemma(data)
+    return data
 
 
 def _data_text(filename: str) -> str:

@@ -11,9 +11,9 @@ surface behaviour of each decomposition.
 * in quiver mode, that every decomposition's triangulation returns the
   diagram's exchange matrix.
 
-Catalog matching (``match_catalog``, ``catalog_classes``) works up to
-isomorphism *and* global arrow reversal: the catalog draws one representative
-per reversal class.
+Catalog matching works up to isomorphism *and* global arrow reversal: the
+catalog draws one representative per reversal class, and ``catalog_classes``
+maps each class's :func:`~blockdec.diagram.reversal_class_key` to its entry.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .blocks import BlockData, _data_text, load_block_data
+from .blocks import BlockData, _data_text
 from .decompose import enumerate_decompositions
 from .diagram import (
     MODES,
@@ -42,12 +42,15 @@ class CatalogError(ValueError):
 @dataclass(frozen=True)
 class CatalogEntry:
     entry_id: str
-    mode: str
     diagram: Diagram
     expect_count: int
     surface_unique: bool
     count_provisional: bool = False
     reconstructed: bool = False
+
+    @property
+    def mode(self) -> str:
+        return self.diagram.mode
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
         entries.append(
             CatalogEntry(
                 entry_id=current["id"],
-                mode=current["mode"],
                 diagram=diagram,
                 expect_count=current["expect_count"],
                 surface_unique=current["surface_unique"],
@@ -207,8 +209,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
     return _CACHE[key]
 
 
-def catalog_entry(entry_id: str, entries: tuple[CatalogEntry, ...] | None = None) -> CatalogEntry:
-    entries = load_catalog() if entries is None else entries
+def catalog_entry(entry_id: str, entries: tuple[CatalogEntry, ...]) -> CatalogEntry:
     for entry in entries:
         if entry.entry_id == entry_id:
             return entry
@@ -218,11 +219,10 @@ def catalog_entry(entry_id: str, entries: tuple[CatalogEntry, ...] | None = None
 
 def verify_entry(
     entry: CatalogEntry,
-    data: BlockData | None = None,
+    data: BlockData,
     *,
     limit: int = 10000,
 ) -> EntryReport:
-    data = load_block_data() if data is None else data
     result = enumerate_decompositions(entry.diagram, data, limit=limit)
 
     keys = []
@@ -251,30 +251,11 @@ def verify_entry(
     )
 
 
-def verify_catalog(
-    entries: tuple[CatalogEntry, ...] | None = None,
-    data: BlockData | None = None,
-    *,
-    limit: int = 10000,
-) -> tuple[EntryReport, ...]:
-    entries = load_catalog() if entries is None else entries
-    data = load_block_data() if data is None else data
-    return tuple(verify_entry(entry, data, limit=limit) for entry in entries)
-
-
-def catalog_classes(entries: tuple[CatalogEntry, ...] | None = None) -> dict[str, CatalogEntry]:
+def catalog_classes(entries: tuple[CatalogEntry, ...]) -> dict[str, CatalogEntry]:
     """Reversal-class key -> the first catalog entry of that class.  A key
     starts with its mode, so one lookup matches both."""
-    entries = load_catalog() if entries is None else entries
     classes: dict[str, CatalogEntry] = {}
     for entry in entries:
         classes.setdefault(reversal_class_key(entry.diagram), entry)
     return classes
 
-
-def match_catalog(
-    diagram: Diagram, entries: tuple[CatalogEntry, ...] | None = None
-) -> CatalogEntry | None:
-    """The catalog entry isomorphic to ``diagram`` up to arrow reversal.  To
-    match many diagrams, build :func:`catalog_classes` once instead."""
-    return catalog_classes(entries).get(reversal_class_key(diagram))

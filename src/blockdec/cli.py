@@ -10,7 +10,7 @@ sweep           list diagrams with several decompositions, up to a node bound
 
 Exit codes: 0 success; 1 negative result (no decomposition, invalid plan,
 failing catalog entry); 2 input error; 3 data or internal error (including
-hitting the enumeration limit).
+hitting the enumeration limit or the recursion limit, or running out of memory).
 
 All randomness-free: output bytes depend only on inputs, never on --threads
 (the search is serial).
@@ -403,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_INTERNAL
     except RecursionError:
         print("error: the search is too deep for this diagram (recursion limit)", file=sys.stderr)
+        code = EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         code = EXIT_INTERNAL
     finally:
         elapsed = time.perf_counter() - start

@@ -101,7 +101,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice, product
 
-from .blocks import BlockData, load_block_data
+from .blocks import BlockData
 from .diagram import Diagram, make_diagram
 from .gluing import (
     NO_EDGE, BlockInstance, GlueState, Plan, net_with_arrow, plan_key, target_nets,
@@ -389,7 +389,7 @@ def _part_plans(
 
 def enumerate_decompositions(
     diagram: Diagram,
-    data: BlockData | None = None,
+    data: BlockData,
     *,
     limit: int = 10000,
     threads: int = 1,
@@ -407,8 +407,6 @@ def enumerate_decompositions(
     unspecified.  The search is serial; ``threads`` is accepted for
     compatibility and changes neither the output nor the work.
     """
-    if data is None:
-        data = load_block_data()
     part_plans = {}
     truncated = False
     stats = []
@@ -437,9 +435,7 @@ def enumerate_decompositions(
     return DecomposeResult(tuple(plans), truncated, tuple(stats))
 
 
-def is_decomposable(
-    diagram: Diagram, data: BlockData | None = None
-) -> bool:
+def is_decomposable(diagram: Diagram, data: BlockData) -> bool:
     """Whether at least one block decomposition exists: the search of
     :func:`enumerate_decompositions` at limit 1, which stops at the first
     part without a plan."""

@@ -7,7 +7,8 @@ Gluing follows four rules:
   covered.  A node may be covered by at most two instances; a node covered
   through a black template slot may not be covered by any other instance.  A
   node covered once through a white slot stays *white* (open); any other legal
-  coverage makes it *black* (closed).
+  coverage makes it *black* (closed).  The two colours, :data:`WHITE` and
+  :data:`BLACK`, are defined here and name template slots too.
 * **Rule 2 (unit arrows).**  Weight-1 template edges between the same pair of
   nodes add up with signs: opposite arrows cancel.
 * **Rule 3 (heavy arrows).**  Weight-2 and weight-4 template edges accumulate
@@ -43,10 +44,15 @@ fault it finds, as a :class:`GluingError` whose ``rule`` names the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .blocks import BLACK, WHITE, BlockData, BlockTemplate
 from .diagram import Diagram, make_diagram, MODES
+
+if TYPE_CHECKING:  # block data is loaded above this module: blocks imports gluing
+    from .blocks import BlockData, BlockTemplate
+
+WHITE = "white"  # open: one more block may still attach
+BLACK = "black"  # closed
 
 
 class GluingError(ValueError):
@@ -123,7 +129,7 @@ def _check_instances(data: BlockData, plan: Plan) -> None:
     """Raise the first fault of the plan's instances taken on their own."""
     if plan.mode not in MODES:
         raise BadInstance(f"unknown mode {plan.mode!r}")
-    allowed = set(data.tags_for_mode(plan.mode))
+    allowed = data.tags_for_mode(plan.mode)
     for inst in plan.instances:
         if inst.tag not in data.templates:
             raise BadInstance(f"unknown block tag {inst.tag!r}")

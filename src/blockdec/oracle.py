@@ -42,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .blocks import WHITE, BlockData, load_block_data
+from .blocks import BlockData
 from .diagram import canonical_form, orbit
 from .gluing import (
+    WHITE,
     BlockInstance,
     GlueState,
     Plan,
@@ -281,23 +282,19 @@ class OracleIndex:
 def build_index(
     max_blocks: int,
     mode: str,
-    data: BlockData | None = None,
-    max_nodes: int | None = None,
+    data: BlockData,
+    max_nodes: int,
     connected: bool = False,
 ) -> OracleIndex:
     """Index every diagram gluable from at most ``max_blocks`` blocks.
 
-    ``max_nodes`` bounds the abstract node supply (default: enough for fully
-    disjoint placements, five nodes per block).  With ``connected``, only
+    ``max_nodes`` bounds the abstract node supply; five nodes per block are
+    enough for fully disjoint placements.  With ``connected``, only
     connected diagrams are indexed, from overlap-connected plans alone (see
     :func:`enumerate_plans`), and each keeps exactly its entries.  The first
     plan of each key brings the generators its plans are closed under and
     tells whether its diagram is connected.
     """
-    if data is None:
-        data = load_block_data()
-    if max_nodes is None:
-        max_nodes = 5 * max_blocks
     entries: dict[str, set[PlanTuple]] = {}
     generators: dict[str, Generators | None] = {}  # None: disconnected, dropped
     for _, diagram, key, canonical, gens in enumerate_plans(
@@ -316,14 +313,12 @@ def build_index(
 def sweep_nonunique(
     max_nodes: int,
     mode: str,
-    data: BlockData | None = None,
+    data: BlockData,
 ) -> dict[str, int]:
     """Connected diagrams on at most ``max_nodes`` nodes with two or more
     inequivalent decompositions: canonical key -> decomposition count, read
     off the connected index of up to ``max_nodes`` blocks (see
     :func:`build_index`)."""
-    if data is None:
-        data = load_block_data()
     index = build_index(max_nodes, mode, data, max_nodes, connected=True)
     counts = {key: len(index.closed_plans(key, data)) for key in index.entries}
     return {key: count for key, count in counts.items() if count >= 2}

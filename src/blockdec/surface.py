@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .blocks import WHITE, BlockData
+from .blocks import BlockData
 from .diagram import QUIVER, Diagram, _find, _union
-from .gluing import Plan, glue
+from .gluing import WHITE, Plan, glue
 
 Slot = tuple  # (side id, +1 | -1)
 

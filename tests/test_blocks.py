@@ -3,16 +3,14 @@
 import pytest
 
 from blockdec.blocks import (
-    BLACK,
     ELEMENTARY_TAGS,
     UNFOLDING_TAGS,
-    WHITE,
     BlockDataError,
     load_block_data,
     parse_block_data,
 )
 from blockdec.diagram import ALLOWED_WEIGHTS, QUIVER, S_DIAGRAM, canonical_key, make_diagram
-from blockdec.gluing import NO_EDGE, net_with_arrow, target_nets
+from blockdec.gluing import BLACK, NO_EDGE, net_with_arrow, target_nets
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +154,15 @@ class TestCompiledTables:
 
     @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
     def test_mode_tables(self, data, mode):
-        """Per mode: the placement orders of the mode's templates in one
-        flat list, in data order, and for every set of nets that
+        """Per mode: the tags the mode admits, compiled once; the placement
+        orders of their templates in one flat list, in data order; and for
+        every set of nets that
         ``target_nets`` gives a pair of the mode, and for no edge, that set
         plus the nets one more template arrow turns into it."""
         tables = data.modes[mode]
-        templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+        assert tables.tags == (ELEMENTARY_TAGS if mode == QUIVER else ALL_TAGS)
+        assert data.tags_for_mode(mode) is tables.tags
+        templates = [data.template(tag) for tag in tables.tags]
         assert tables.orders == tuple(
             (t.tag, t.blacks, t.degrees, t.canonical_assignment, start, steps)
             for t in templates

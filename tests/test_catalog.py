@@ -8,18 +8,30 @@ import pytest
 from blockdec.blocks import load_block_data
 from blockdec.catalog import (
     CatalogError,
+    catalog_classes,
     catalog_entry,
     load_catalog,
-    match_catalog,
     parse_catalog,
-    verify_catalog,
     verify_entry,
 )
-from blockdec.diagram import QUIVER, S_DIAGRAM, make_diagram, reverse_diagram
+from blockdec.diagram import (
+    QUIVER,
+    S_DIAGRAM,
+    make_diagram,
+    reversal_class_key,
+    reverse_diagram,
+)
 
 DATA = load_block_data()
 ENTRIES = load_catalog()
-REPORTS = {r.entry.entry_id: r for r in verify_catalog(ENTRIES, DATA)}
+CLASSES = catalog_classes(ENTRIES)
+REPORTS = {entry.entry_id: verify_entry(entry, DATA) for entry in ENTRIES}
+
+
+def match(diagram):
+    """The catalog entry of ``diagram`` up to isomorphism and arrow reversal."""
+    return CLASSES.get(reversal_class_key(diagram))
+
 
 PINNED_COUNTS = {
     "1": 2, "2": 2, "4": 3, "5": 2, "6": 3, "7": 3, "7p": 3,
@@ -98,7 +110,7 @@ def test_each_plan_is_glued_once(monkeypatch):
     monkeypatch.setattr(blockdec.gluing, "glue", counting_glue)
     monkeypatch.setattr(blockdec.surface, "glue", counting_glue)
     monkeypatch.setattr(blockdec.catalog, "glue", counting_glue, raising=False)
-    report = verify_entry(catalog_entry("7"), DATA)
+    report = verify_entry(catalog_entry("7", ENTRIES), DATA)
     assert report.glue_ok and len(calls) == report.count == 3
 
 
@@ -110,7 +122,7 @@ def test_glue_back_failure_is_reported(monkeypatch):
     monkeypatch.setattr(
         blockdec.catalog, "assemble", lambda data, plan: replace(assemble(data, plan), diagram=other)
     )
-    report = verify_entry(catalog_entry("7"), DATA)
+    report = verify_entry(catalog_entry("7", ENTRIES), DATA)
     assert not report.glue_ok and not report.ok
 
 
@@ -124,7 +136,7 @@ def test_report_dict_is_json_ready():
 
 
 def test_truncation_fails_entry():
-    report = verify_entry(catalog_entry("4"), DATA, limit=1)
+    report = verify_entry(catalog_entry("4", ENTRIES), DATA, limit=1)
     assert report.truncated
     assert not report.ok
 
@@ -132,17 +144,17 @@ def test_truncation_fails_entry():
 def test_match_catalog_reversal_classes():
     # out-fork is the in-fork (entry 2) reversed
     outfork = make_diagram(3, [(0, 1, 1), (0, 2, 1)])
-    assert match_catalog(outfork).entry_id == "2"
+    assert match(outfork).entry_id == "2"
     # every entry matches itself and its reversal
     for e in ENTRIES:
-        assert match_catalog(e.diagram, ENTRIES) is e
-        assert match_catalog(reverse_diagram(e.diagram), ENTRIES).entry_id == e.entry_id
+        assert match(e.diagram) is e
+        assert match(reverse_diagram(e.diagram)).entry_id == e.entry_id
     # the path row
     path = make_diagram(3, [(0, 1, 1), (1, 2, 1)])
-    assert match_catalog(path).entry_id == "11"
+    assert match(path).entry_id == "11"
     # mode must match: the s-mode view of entry 1's shape is no hit
     s_cycle = make_diagram(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], S_DIAGRAM)
-    assert match_catalog(s_cycle) is None
+    assert match(s_cycle) is None
 
 
 def test_match_catalog_excludes_theorem_exception_classes():
@@ -150,14 +162,14 @@ def test_match_catalog_excludes_theorem_exception_classes():
     # were ruled out as stand-ins for the lost rows 11-15.
     alt_cycle = make_diagram(4, [(1, 0, 1), (2, 1, 1), (2, 3, 1), (3, 0, 1)])
     five_edge = make_diagram(4, [(0, 2, 1), (1, 3, 1), (2, 1, 1), (3, 0, 1), (3, 2, 1)])
-    assert match_catalog(alt_cycle) is None
-    assert match_catalog(five_edge) is None
+    assert match(alt_cycle) is None
+    assert match(five_edge) is None
 
 
 def test_catalog_entry_lookup():
-    assert catalog_entry("16").mode == S_DIAGRAM
+    assert catalog_entry("16", ENTRIES).mode == S_DIAGRAM
     with pytest.raises(CatalogError, match="no catalog entry"):
-        catalog_entry("99")
+        catalog_entry("99", ENTRIES)
 
 
 @pytest.mark.parametrize(
@@ -195,5 +207,5 @@ def test_data_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BLOCKDEC_DATA", str(tmp_path))
     entries = load_catalog()
     assert [e.entry_id for e in entries] == ["only"]
-    report = verify_entry(entries[0])
+    report = verify_entry(entries[0], load_block_data())
     assert report.ok and report.count == 2

@@ -123,6 +123,19 @@ def test_decompose_limit_truncation_is_internal_error(capsys, tmp_path):
     assert "--limit" in err
 
 
+def test_out_of_memory_is_internal_error(capsys, monkeypatch, triangle_file):
+    """Running out of memory exits 3 with one line, not 1 with a traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(blockdec.cli, "enumerate_decompositions", exhausted)
+    code, out, err = run(capsys, "decompose", triangle_file)
+    assert code == 3 and out == ""
+    assert err.splitlines()[0] == "error: out of memory"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--threads", "0"), ("--threads", "-3"), ("--limit", "0"), ("--limit", "-1"),

@@ -1,14 +1,21 @@
 """Tests for plan gluing: rules 1-4, the gluing state, plan keys, and the
 text format."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from blockdec.blocks import BLACK, WHITE, load_block_data
+import blockdec
+from blockdec.blocks import load_block_data
 from blockdec.diagram import ALLOWED_WEIGHTS, QUIVER, S_DIAGRAM, canonical_key, make_diagram
 from blockdec.gluing import (
+    BLACK,
+    WHITE,
     BadInstance,
     BlockInstance,
     CoverageViolation,
@@ -344,3 +351,12 @@ class TestPlanText:
     def test_parse_ignores_comments(self):
         plan = parse_plan("# a plan\nmode quiver\nblock Spike 0 1  # spike\n")
         assert plan == qplan(("Spike", (0, 1)))
+
+
+def test_gluing_does_not_load_block_data():
+    """The gluing rules sit below the block data in the module order: a
+    fresh interpreter that imports them has not imported the block module."""
+    code = "import sys, blockdec.gluing; sys.exit('blockdec.blocks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(blockdec.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from blockdec import oracle
-from blockdec.blocks import WHITE, load_block_data
+from blockdec.blocks import load_block_data
 from blockdec.catalog import load_catalog
 from blockdec.decompose import enumerate_decompositions
 from blockdec.diagram import (
@@ -19,6 +19,7 @@ from blockdec.diagram import (
     relabel_diagram,
 )
 from blockdec.gluing import (
+    WHITE,
     BlockInstance,
     GlueState,
     Plan,
@@ -160,7 +161,7 @@ def data():
 
 @pytest.fixture(scope="module")
 def quiver_index_2(data):
-    return build_index(2, QUIVER, data)
+    return build_index(2, QUIVER, data, max_nodes=10)
 
 
 class TestEnumeration:
@@ -244,13 +245,13 @@ class TestEnumeration:
 
 class TestIndex:
     def test_single_block_index_sizes(self, data):
-        assert len(build_index(1, QUIVER, data).entries) == 6
+        assert len(build_index(1, QUIVER, data, max_nodes=5).entries) == 6
         # Ia and Ib glue to isomorphic single-weight-2-edge diagrams, so the
         # thirteen blocks produce twelve distinct diagrams.
-        assert len(build_index(1, S_DIAGRAM, data).entries) == 12
+        assert len(build_index(1, S_DIAGRAM, data, max_nodes=5).entries) == 12
 
     def test_weight2_edge_has_two_single_block_plans(self, data):
-        index = build_index(1, S_DIAGRAM, data)
+        index = build_index(1, S_DIAGRAM, data, max_nodes=5)
         diagram = make_diagram(2, [(1, 0, 2)], mode=S_DIAGRAM)
         assert len(index.closed_plans(canonical_key(diagram), data)) == 2
 

@@ -164,7 +164,7 @@ def test_matrix_for_every_decomposition_of_small_diagrams():
                          (1, 2, 1), (1, 4, 1), (3, 2, 1), (3, 4, 1)]),
     ]
     for d in diagrams:
-        result = enumerate_decompositions(d)
+        result = enumerate_decompositions(d, DATA)
         assert result.plans
         for p in result.plans:
             assert signed_adjacency_matrix(assemble(DATA, p), d.node_count) == to_matrix(d)
