@@ -10,7 +10,11 @@ The built-in templates and pieces live in ``data/blocks.txt``; the
 ``BLOCKDEC_DATA`` environment variable may point at a directory containing an
 alternative ``blocks.txt`` (and ``catalog.txt``).  In the package only the
 command line loads them; every engine function takes the loaded
-:class:`BlockData` as an argument.
+:class:`BlockData` as an argument.  Each ``block`` stanza is checked against
+its piece and then built once into a complete :class:`BlockTemplate`, which
+holds its piece and every table compiled from the two.  Which mode admits a
+template is read off its weights: quivers admit the templates whose edges
+all weigh 1, s-diagrams every template.
 
 The modules import one way, in the order ``diagram``, ``gluing``, this
 module, then ``decompose``, ``oracle`` and ``surface``, then ``catalog`` and
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
 from typing import NamedTuple
@@ -37,9 +41,6 @@ from .diagram import (
     make_diagram,
 )
 from .gluing import BLACK, WHITE, BlockInstance, GlueState, open_nets
-
-ELEMENTARY_TAGS = ("Spike", "Triangle", "Infork", "Outfork", "Diamond", "Square")
-UNFOLDING_TAGS = ("Ia", "Ib", "II", "IIIa", "IIIb", "IV", "V")
 
 
 class BlockDataError(ValueError):
@@ -98,8 +99,8 @@ class PlacementStep(NamedTuple):
     pos: int  # the label placed
     anchor: int  # an earlier label; the candidates lie near its node
     adjacent: bool  # candidates are the anchor's target neighbours only
-    # The index edges joining ``pos`` to earlier labels, each with a flag that
-    # is set when an end is black: those first, then by how early their other
+    # The edges joining ``pos`` to earlier labels, each with a flag that is
+    # set when an end is black: those first, then by how early their other
     # end was placed.
     edges: tuple[tuple[int, int, int, bool], ...]
 
@@ -108,12 +109,16 @@ class PlacementStep(NamedTuple):
 class BlockTemplate:
     """A block: labelled coloured nodes, weighted edges, and its piece.
 
-    The fields from ``index_edges`` on are tables compiled once by
-    :func:`parse_block_data`:
+    :func:`parse_block_data` builds each template once, complete, from a
+    ``block`` stanza it has checked against the stanza's piece.  Labels are
+    referred to by position in ``labels`` everywhere but in ``piece``:
 
-    * ``index_edges``: the edges on label positions;
+    * ``edges``: ``(from, to, weight)`` per edge;
+    * ``automorphisms``: the label permutations preserving colours and
+      edges, each as a position permutation ``p`` mapping label ``i`` to
+      label ``p[i]``;
     * ``blacks`` and ``degrees``: per label, whether it is black and how many
-      index edges meet it;
+      edges meet it;
     * ``image_getters``: per automorphism, a getter taking an assignment to
       its image;
     * ``placement_orders``: one breadth-first placement per orbit of
@@ -122,41 +127,36 @@ class BlockTemplate:
       edge.  By the corollary in :mod:`blockdec.decompose`, the label's
       candidates are the anchor's target neighbours when that edge has a
       black end (then ``adjacent`` is set), and its distance-2 ball
-      otherwise.
+      otherwise;
+    * ``piece`` and ``tables``: the triangulated piece, and the piece on
+      integer ids.
     """
 
     tag: str
     labels: tuple[str, ...]
     colors: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]
-    piece_id: str
+    edges: tuple[tuple[int, int, int], ...]
     automorphisms: tuple[tuple[int, ...], ...]
-    index_edges: tuple[tuple[int, int, int], ...] = ()
-    blacks: tuple[bool, ...] = ()
-    degrees: tuple[int, ...] = ()
-    image_getters: tuple[Callable, ...] = field(default=(), compare=False, repr=False)
-    placement_orders: tuple[tuple[int, tuple[PlacementStep, ...]], ...] = ()
+    blacks: tuple[bool, ...]
+    degrees: tuple[int, ...]
+    image_getters: tuple[Callable, ...] = field(compare=False, repr=False)
+    placement_orders: tuple[tuple[int, tuple[PlacementStep, ...]], ...]
+    piece: Piece
+    tables: PieceTables
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     @property
-    def is_elementary(self) -> bool:
-        return self.tag in ELEMENTARY_TAGS
-
-    def white_labels(self) -> tuple[str, ...]:
-        return tuple(l for l, c in zip(self.labels, self.colors) if c == WHITE)
+    def mode(self) -> str:
+        """Quiver when every edge weighs 1, else s: the least mode whose
+        diagrams the template can be part of."""
+        return QUIVER if all(w == 1 for _, _, w in self.edges) else S_DIAGRAM
 
     def diagram(self) -> Diagram:
         """The template as a standalone diagram (labels in declaration order)."""
-        index = {l: i for i, l in enumerate(self.labels)}
-        mode = QUIVER if all(w == 1 for _, _, w in self.edges) else S_DIAGRAM
-        return make_diagram(
-            len(self.labels),
-            [(index[f], index[t], w) for f, t, w in self.edges],
-            mode=mode,
-        )
+        return make_diagram(self.size, self.edges, mode=self.mode)
 
     def canonical_assignment(self, nodes: tuple[int, ...]) -> tuple[int, ...]:
         """Least representative of ``nodes`` under the template's automorphisms.
@@ -172,7 +172,7 @@ class ModeTables:
     """What the decomposer reads for one mode, compiled when the data loads.
 
     ``tags`` are the block tags the mode admits, in data order: s-diagrams
-    admit every block, quivers only the weight-1 (elementary) ones.
+    admit every block, quivers the blocks whose edges all weigh 1.
     ``open_nets`` maps each set of nets that a pair may end with (each value
     of :func:`~blockdec.gluing.target_nets`, and
     :data:`~blockdec.gluing.NO_EDGE`) to that set plus the nets that one more
@@ -205,13 +205,11 @@ class PieceTables(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockData:
-    """All templates and pieces from one data file; per mode the
-    decomposer's tables, and per template tag its piece's tables."""
+    """All templates from one data file, in data order, and per mode the
+    decomposer's tables."""
 
     templates: dict[str, BlockTemplate]
-    pieces: dict[str, Piece]
     modes: dict[str, ModeTables] = field(compare=False, repr=False)
-    piece_tables: dict[str, PieceTables] = field(compare=False, repr=False)
 
     def template(self, tag: str) -> BlockTemplate:
         try:
@@ -219,49 +217,29 @@ class BlockData:
         except KeyError:
             raise BlockDataError(f"unknown block tag {tag!r}") from None
 
-    def piece_for(self, tag: str) -> Piece:
-        return self.pieces[self.template(tag).piece_id]
 
-    def tags_for_mode(self, mode: str) -> tuple[str, ...]:
-        """Block tags usable in a given mode (see :class:`ModeTables`)."""
-        return self.modes[mode].tags
-
-
-def _compute_automorphisms(
-    labels: tuple[str, ...],
-    colors: tuple[str, ...],
-    edges: tuple[tuple[str, str, int], ...],
-) -> tuple[tuple[int, ...], ...]:
-    """Label permutations preserving colours and the weighted edge set.
-
-    Each automorphism is returned as an index permutation ``p`` representing
-    the map ``labels[i] -> labels[p[i]]``.
-    """
-    k = len(labels)
+def _build_template(stanza: dict, piece: Piece) -> BlockTemplate:
+    """The template of a ``block`` stanza that :func:`_check_block` passed."""
+    labels = tuple(label for label, _ in stanza["nodes"])
+    colors = tuple(color for _, color in stanza["nodes"])
+    index = {label: i for i, label in enumerate(labels)}
+    edges = tuple((index[f], index[t], w) for f, t, w in stanza["edges"])
     edge_set = set(edges)
-    found = []
-    for p in itertools.permutations(range(k)):
-        if any(colors[p[i]] != colors[i] for i in range(k)):
-            continue
-        mapping = {labels[i]: labels[p[i]] for i in range(k)}
-        if {(mapping[f], mapping[t], w) for f, t, w in edges} == edge_set:
-            found.append(p)
-    return tuple(found)
-
-
-def _compile(template: BlockTemplate) -> BlockTemplate:
-    """The template with its integer tables filled in."""
-    index = {label: i for i, label in enumerate(template.labels)}
-    edges = tuple((index[f], index[t], w) for f, t, w in template.edges)
-    blacks = tuple(color == BLACK for color in template.colors)
-    adjacency: list[list[int]] = [[] for _ in range(template.size)]
+    automorphisms = tuple(
+        p
+        for p in itertools.permutations(range(len(labels)))
+        if all(colors[i] == colors[j] for i, j in enumerate(p))
+        and {(p[f], p[t], w) for f, t, w in edges} == edge_set
+    )
+    blacks = tuple(color == BLACK for color in colors)
+    adjacency: list[list[int]] = [[] for _ in labels]
     for f, t, _ in edges:
         adjacency[f].append(t)
         adjacency[t].append(f)
     # One start per orbit of the automorphism group, its least position: a
     # placement anchored at any other position of the orbit is the same
     # instance up to an automorphism.
-    starts = sorted({min(p[i] for p in template.automorphisms) for i in range(template.size)})
+    starts = sorted({min(p[i] for p in automorphisms) for i in range(len(labels))})
     orders = []
     for start in starts:
         order, seen = [start], {start}
@@ -285,22 +263,26 @@ def _compile(template: BlockTemplate) -> BlockTemplate:
         orders.append((start, tuple(steps)))
     # itemgetter of one index returns a bare item, but one label has only
     # the identity automorphism, whose image is the assignment itself.
-    images = tuple(itemgetter(*p) if len(p) > 1 else tuple for p in template.automorphisms)
-    return replace(
-        template,
-        index_edges=edges,
+    images = tuple(itemgetter(*p) if len(p) > 1 else tuple for p in automorphisms)
+    return BlockTemplate(
+        tag=stanza["tag"],
+        labels=labels,
+        colors=colors,
+        edges=edges,
+        automorphisms=automorphisms,
         blacks=blacks,
         degrees=tuple(len(near) for near in adjacency),
         image_getters=images,
         placement_orders=tuple(orders),
+        piece=piece,
+        tables=_compile_piece(index, piece),
     )
 
 
-def _compile_piece(template: BlockTemplate, piece: Piece) -> PieceTables:
-    """``piece`` on integer ids, its arcs' labels as positions in ``template``."""
+def _compile_piece(label: dict[str, int], piece: Piece) -> PieceTables:
+    """``piece`` on integer ids, its arcs' labels as positions by ``label``."""
     vertex = {v: i for i, v in enumerate(piece.vertices)}
     side = {s.sid: i for i, s in enumerate(piece.sides)}
-    label = {l: i for i, l in enumerate(template.labels)}
     faces = tuple(tuple((side[sid], d) for sid, d in face) for face in piece.faces)
     direction = {sid: d for face in faces for sid, d in face}  # an outlet has one slot
     return PieceTables(
@@ -316,7 +298,7 @@ def _compile_piece(template: BlockTemplate, piece: Piece) -> PieceTables:
 
 def _compile_mode(templates: dict[str, BlockTemplate], mode: str) -> ModeTables:
     """The decomposer's tables for ``mode``."""
-    admitted = tuple(t for t in templates.values() if mode != QUIVER or t.is_elementary)
+    admitted = tuple(t for t in templates.values() if mode == S_DIAGRAM or t.mode == QUIVER)
     orders = tuple(
         (t.tag, t.blacks, t.degrees, t.canonical_assignment, start, steps)
         for t in admitted
@@ -331,22 +313,22 @@ def _check_part_lemma(data: BlockData) -> None:
     cancels the arrow of an instance I between white nodes a and b, the net
     of I + J leaves a and b either both without arrows or with arrows to a
     common node.  Condition (1), that every template is connected, is
-    checked per template by :func:`_validate_template`.
+    checked per stanza by :func:`_check_block`.
 
     Only an arrow between two white labels can be cancelled, and only by an
     arrow of the same weight and the opposite direction between two white
     labels of J.  Every such pairing is tried, glued on one
     :class:`~blockdec.gluing.GlueState`.  The s mode admits every template,
-    so one pass covers both modes; a failing pair of elementary templates
+    so one pass covers both modes; a failing pair of weight-1 templates
     fails in quiver mode too.
     """
     templates = list(data.templates.values())
     state = GlueState(data, 2 * max((t.size for t in templates), default=0))
     for s in templates:
         state.push(BlockInstance(s.tag, tuple(range(s.size))))
-        for p, q, w in s.index_edges:
+        for p, q, w in s.edges:
             for t in templates:
-                for r, u, tw in t.index_edges:
+                for r, u, tw in t.edges:
                     if tw != w or BLACK in (s.colors[p], s.colors[q], t.colors[r], t.colors[u]):
                         continue
                     for nodes in _cancelling_placements(s, p, q, t, r, u):
@@ -354,7 +336,7 @@ def _check_part_lemma(data: BlockData) -> None:
                         keeps = _cancel_keeps_parts(state.nets, p, q)
                         state.pop()
                         if not keeps:
-                            modes = "quiver and s" if s.is_elementary and t.is_elementary else "s"
+                            modes = "quiver and s" if s.mode == t.mode == QUIVER else "s"
                             raise BlockDataError(
                                 f"{modes} mode: block {t.tag} arrow {t.labels[r]}->{t.labels[u]} "
                                 f"cancels block {s.tag} arrow {s.labels[p]}->{s.labels[q]} and "
@@ -437,6 +419,8 @@ def _parse_lines(text: str) -> tuple[list[dict], list[dict]]:
             elif kw == "piece":
                 if len(tokens) != 2:
                     raise fail("expected 'piece <piece-id>'")
+                if current["piece"] is not None:
+                    raise fail("duplicate piece line")
                 current["piece"] = tokens[1]
             else:
                 raise fail(f"unknown keyword {kw!r} in block stanza")
@@ -542,13 +526,19 @@ def _validate_piece(piece: Piece) -> None:
             raise BlockDataError(f"piece {pid}: outlet arc {sid} is not on the boundary")
 
 
-def _validate_template(template: BlockTemplate, piece: Piece) -> None:
-    tag = template.tag
-    if len(set(template.labels)) != len(template.labels):
+def _check_block(stanza: dict, piece: Piece) -> None:
+    """Raise :class:`BlockDataError` unless the ``block`` stanza is a
+    connected template of one or more nodes whose labels are ``piece``'s arc
+    labels and whose white labels are its outlets."""
+    tag = stanza["tag"]
+    labels = [label for label, _ in stanza["nodes"]]
+    known = set(labels)
+    if not labels:
+        raise BlockDataError(f"block {tag}: no nodes")
+    if len(known) != len(labels):
         raise BlockDataError(f"block {tag}: duplicate node labels")
-    known = set(template.labels)
     seen_pairs = set()
-    for f, t, w in template.edges:
+    for f, t, w in stanza["edges"]:
         if f not in known or t not in known:
             raise BlockDataError(f"block {tag}: edge {f}->{t} uses undeclared node")
         if f == t:
@@ -558,9 +548,10 @@ def _validate_template(template: BlockTemplate, piece: Piece) -> None:
         if (f, t) in seen_pairs or (t, f) in seen_pairs:
             raise BlockDataError(f"block {tag}: repeated or opposed edge {f}->{t}")
         seen_pairs.add((f, t))
-    if template.is_elementary and any(w != 1 for _, _, w in template.edges):
-        raise BlockDataError(f"block {tag}: elementary blocks carry only weight-1 edges")
 
+    for s in piece.sides:
+        if s.is_arc and s.label is None:
+            raise BlockDataError(f"block {tag}: piece {piece.pid} arc {s.sid} carries no label")
     arc_labels = {s.label for s in piece.sides if s.is_arc}
     if arc_labels != known:
         raise BlockDataError(
@@ -568,13 +559,14 @@ def _validate_template(template: BlockTemplate, piece: Piece) -> None:
             f"!= template labels {sorted(known)}"
         )
     outlet_labels = {label for label, _ in piece.outlets}
-    if outlet_labels != set(template.white_labels()):
+    whites = {label for label, color in stanza["nodes"] if color == WHITE}
+    if outlet_labels != whites:
         raise BlockDataError(
-            f"block {tag}: piece outlets {sorted(outlet_labels)} "
-            f"!= white labels {sorted(template.white_labels())}"
+            f"block {tag}: piece outlets {sorted(outlet_labels)} != white labels {sorted(whites)}"
         )
-    # template.diagram() raises DiagramError if the template is ill-formed.
-    if len(template.diagram().components()) > 1:
+    index = {label: i for i, label in enumerate(labels)}
+    edges = [(index[f], index[t], w) for f, t, w in stanza["edges"]]
+    if len(make_diagram(len(labels), edges, mode=S_DIAGRAM).components()) > 1:
         raise BlockDataError(f"block {tag}: template is not connected")
 
 
@@ -605,26 +597,10 @@ def parse_block_data(text: str) -> BlockData:
             raise BlockDataError(f"block {rb['tag']}: missing piece reference")
         if rb["piece"] not in pieces:
             raise BlockDataError(f"block {rb['tag']}: unknown piece {rb['piece']!r}")
-        labels = tuple(l for l, _ in rb["nodes"])
-        colors = tuple(c for _, c in rb["nodes"])
-        edges = tuple(rb["edges"])
-        template = BlockTemplate(
-            tag=rb["tag"],
-            labels=labels,
-            colors=colors,
-            edges=edges,
-            piece_id=rb["piece"],
-            automorphisms=_compute_automorphisms(labels, colors, edges),
-        )
-        _validate_template(template, pieces[rb["piece"]])
-        templates[template.tag] = _compile(template)
+        _check_block(rb, pieces[rb["piece"]])
+        templates[rb["tag"]] = _build_template(rb, pieces[rb["piece"]])
 
-    data = BlockData(
-        templates=templates,
-        pieces=pieces,
-        modes={mode: _compile_mode(templates, mode) for mode in MODES},
-        piece_tables={tag: _compile_piece(t, pieces[t.piece_id]) for tag, t in templates.items()},
-    )
+    data = BlockData(templates, {mode: _compile_mode(templates, mode) for mode in MODES})
     _check_part_lemma(data)
     return data
 

@@ -288,7 +288,7 @@ class _Search:
         final, unsettled, count = self.final, self.unsettled, self.unsettled_at
         nets, covers, nodes = self.state.nets, self.state.covers, inst.nodes
         self.uncovered -= sign * [covers[v] for v in nodes].count(1 if sign > 0 else 0)
-        for f, t, _ in self.data.template(inst.tag).index_edges:
+        for f, t, _ in self.data.template(inst.tag).edges:
             a, b = nodes[f], nodes[t]
             pair = (a, b) if a < b else (b, a)
             settled = nets.get(pair, (0, 0)) in final.get(pair, NO_EDGE)

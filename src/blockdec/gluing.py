@@ -18,8 +18,8 @@ Gluing follows four rules:
   nothing; a single unit arrow (weight 1); two aligned unit arrows (weight 4);
   a net heavy contribution of 2 (weight 2) or 4 (weight 4).
 
-Weight-2 edges only exist in s-mode; in quiver mode only the six weight-1
-(elementary) blocks may be used, so rule 3 is vacuous there.
+Weight-2 edges only exist in s-mode; in quiver mode only the blocks whose
+edges all weigh 1 may be used, so rule 3 is vacuous there.
 
 This module is the only one that knows how a pair's net is encoded and what
 rule 4 makes of it.  :func:`net_with_arrow` is the pair arithmetic of rules 2
@@ -106,7 +106,7 @@ class GlueResult:
 def instance_edges(data: BlockData, inst: BlockInstance) -> list[tuple[int, int, int]]:
     """The weighted arrows an instance contributes, on diagram nodes."""
     nodes = inst.nodes
-    return [(nodes[f], nodes[t], w) for f, t, w in data.template(inst.tag).index_edges]
+    return [(nodes[f], nodes[t], w) for f, t, w in data.template(inst.tag).edges]
 
 
 def canonical_instance(data: BlockData, inst: BlockInstance) -> BlockInstance:
@@ -129,7 +129,7 @@ def _check_instances(data: BlockData, plan: Plan) -> None:
     """Raise the first fault of the plan's instances taken on their own."""
     if plan.mode not in MODES:
         raise BadInstance(f"unknown mode {plan.mode!r}")
-    allowed = data.tags_for_mode(plan.mode)
+    allowed = data.modes[plan.mode].tags
     for inst in plan.instances:
         if inst.tag not in data.templates:
             raise BadInstance(f"unknown block tag {inst.tag!r}")
@@ -207,7 +207,7 @@ class GlueState:
             covers[node] += sign
             if black:
                 blacks[node] += sign
-        for f, t, w in template.index_edges:
+        for f, t, w in template.edges:
             if sign < 0:
                 f, t = t, f  # popping an arrow adds its reverse
             key, net = net_with_arrow(nets, nodes[f], nodes[t], w)
@@ -308,7 +308,7 @@ def open_nets(
     steps = {
         net_with_arrow({}, a, b, w)[1]
         for template in templates
-        for _, _, w in template.index_edges
+        for _, _, w in template.edges
         for a, b in ((0, 1), (1, 0))
     }
     return {

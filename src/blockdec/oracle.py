@@ -132,7 +132,7 @@ class _Walk:
     ):
         self.data, self.mode, self.connected = data, mode, connected
         self.max_blocks, self.max_nodes = max_blocks, max_nodes
-        self.templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+        self.templates = [data.template(tag) for tag in data.modes[mode].tags]
         self.rank = {template.tag: r for r, template in enumerate(self.templates)}
         self.state = GlueState(data, max_nodes)
         self.interned: dict[BlockInstance, BlockInstance] = {}
@@ -334,7 +334,7 @@ def random_plan(
 
     Every draw is occupancy-legal by construction, hence glues successfully.
     """
-    tags = data.tags_for_mode(mode)
+    tags = data.modes[mode].tags
     count = rng.randint(1, max_blocks)
     state = GlueState(data, count * max(t.size for t in data.templates.values()))
     n = 0  # nodes used so far, numbered in first-use order

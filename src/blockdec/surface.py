@@ -212,7 +212,7 @@ def assemble(data: BlockData, plan: Plan) -> Triangulation:
     """Glue the plan's pieces into the decomposition's surface."""
     result = glue(data, plan)  # validates the plan
     colors = result.colors
-    tables = [data.piece_tables[inst.tag] for inst in plan.instances]
+    tables = [data.template(inst.tag).tables for inst in plan.instances]
     bases = []  # per instance, its first side id
     tails: list[int] = []  # per side id, its ends before gluing
     heads: list[int] = []

@@ -2,15 +2,9 @@
 
 import pytest
 
-from blockdec.blocks import (
-    ELEMENTARY_TAGS,
-    UNFOLDING_TAGS,
-    BlockDataError,
-    load_block_data,
-    parse_block_data,
-)
+from blockdec.blocks import BlockDataError, load_block_data, parse_block_data
 from blockdec.diagram import ALLOWED_WEIGHTS, QUIVER, S_DIAGRAM, canonical_key, make_diagram
-from blockdec.gluing import BLACK, NO_EDGE, net_with_arrow, target_nets
+from blockdec.gluing import BLACK, NO_EDGE, WHITE, net_with_arrow, target_nets
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +12,10 @@ def data():
     return load_block_data()
 
 
+# The shipped blocks: the Fomin-Shapiro-Thurston quiver blocks, then their
+# s-mode unfoldings, in data order.
+ELEMENTARY_TAGS = ("Spike", "Triangle", "Infork", "Outfork", "Diamond", "Square")
+UNFOLDING_TAGS = ("Ia", "Ib", "II", "IIIa", "IIIb", "IV", "V")
 ALL_TAGS = ELEMENTARY_TAGS + UNFOLDING_TAGS
 
 
@@ -34,7 +32,7 @@ class TestTemplates:
         }
 
     def test_white_node_counts(self, data):
-        whites = {tag: len(data.template(tag).white_labels()) for tag in ALL_TAGS}
+        whites = {tag: data.template(tag).colors.count(WHITE) for tag in ALL_TAGS}
         assert whites == {
             "Spike": 2, "Triangle": 3, "Infork": 1, "Outfork": 1,
             "Diamond": 2, "Square": 1,
@@ -115,8 +113,8 @@ class TestTemplates:
         assert t.canonical_assignment((9, 1)) == (9, 1)
 
     def test_tags_for_mode(self, data):
-        assert data.tags_for_mode(QUIVER) == ELEMENTARY_TAGS
-        assert data.tags_for_mode(S_DIAGRAM) == ALL_TAGS
+        assert data.modes[QUIVER].tags == ELEMENTARY_TAGS
+        assert data.modes[S_DIAGRAM].tags == ALL_TAGS
 
 
 class TestCompiledTables:
@@ -127,14 +125,14 @@ class TestCompiledTables:
             t = data.template(tag)
             assert t.blacks == tuple(c == BLACK for c in t.colors), tag
             assert t.degrees == tuple(
-                sum(pos in (f, h) for f, h, _ in t.index_edges) for pos in range(t.size)
+                sum(pos in (f, h) for f, h, _ in t.edges) for pos in range(t.size)
             ), tag
 
     def test_placement_steps(self, data):
         """Every order places each label once; each step's anchor is placed
         before it and is the other end of its first joining edge; candidates
         are neighbours only when that edge has a black end, and an edge is
-        hard when an end is black.  Every index edge joins exactly one step."""
+        hard when an end is black.  Every edge joins exactly one step."""
         for tag in ALL_TAGS:
             t = data.template(tag)
             for start, steps in t.placement_orders:
@@ -150,7 +148,7 @@ class TestCompiledTables:
                         joined.append((f, h, w))
                     placed.append(step.pos)
                 assert sorted(placed) == list(range(t.size)), (tag, start)
-                assert sorted(joined) == sorted(t.index_edges), (tag, start)
+                assert sorted(joined) == sorted(t.edges), (tag, start)
 
     @pytest.mark.parametrize("mode", [QUIVER, S_DIAGRAM])
     def test_mode_tables(self, data, mode):
@@ -161,7 +159,6 @@ class TestCompiledTables:
         plus the nets one more template arrow turns into it."""
         tables = data.modes[mode]
         assert tables.tags == (ELEMENTARY_TAGS if mode == QUIVER else ALL_TAGS)
-        assert data.tags_for_mode(mode) is tables.tags
         templates = [data.template(tag) for tag in tables.tags]
         assert tables.orders == tuple(
             (t.tag, t.blacks, t.degrees, t.canonical_assignment, start, steps)
@@ -171,7 +168,7 @@ class TestCompiledTables:
         steps = {
             net_with_arrow({}, a, b, w)[1]
             for template in templates
-            for _, _, w in template.index_edges
+            for _, _, w in template.edges
             for a, b in ((0, 1), (1, 0))
         }
 
@@ -192,7 +189,8 @@ class TestCompiledTables:
         vertex count, each side's ends, kind and arc label position, the
         faces, and each outlet's label, side and single slot direction."""
         for tag in ALL_TAGS:
-            t, piece, table = data.template(tag), data.piece_for(tag), data.piece_tables[tag]
+            t = data.template(tag)
+            piece, table = t.piece, t.tables
             assert table.vertex_count == len(piece.vertices), tag
             assert len(table.sides) == len(piece.sides), tag
             for (tail, head, is_arc, label), side in zip(table.sides, piece.sides):
@@ -210,29 +208,29 @@ class TestCompiledTables:
 class TestPieces:
     def test_every_block_has_a_piece(self, data):
         for tag in ALL_TAGS:
-            assert data.piece_for(tag) is not None
+            assert data.template(tag).piece is not None
 
     def test_outlets_match_white_labels(self, data):
         for tag in ALL_TAGS:
             t = data.template(tag)
-            piece = data.piece_for(tag)
-            assert {lab for lab, _ in piece.outlets} == set(t.white_labels())
+            whites = {lab for lab, color in zip(t.labels, t.colors) if color == WHITE}
+            assert {lab for lab, _ in t.piece.outlets} == whites
 
     def test_euler_characteristics(self, data):
         # All pieces are disks (chi=1) except the closed V piece (a sphere).
         for tag in ALL_TAGS:
-            piece = data.piece_for(tag)
+            piece = data.template(tag).piece
             chi = len(piece.vertices) - len(piece.sides) + len(piece.faces)
             assert chi == (2 if tag == "V" else 1), tag
 
     def test_v_piece_is_closed(self, data):
-        piece = data.piece_for("V")
+        piece = data.template("V").piece
         assert all(s.is_arc for s in piece.sides)
         assert all(piece.slot_count(s.sid) == 2 for s in piece.sides)
 
     def test_boundary_arcs_are_exactly_outlets_plus_bsegs(self, data):
         for tag in ALL_TAGS:
-            piece = data.piece_for(tag)
+            piece = data.template(tag).piece
             outlet_sids = {sid for _, sid in piece.outlets}
             for s in piece.sides:
                 slots = piece.slot_count(s.sid)
@@ -245,20 +243,19 @@ class TestPieces:
 
     def test_unfolding_pieces_carry_tagged_pairs(self, data):
         for tag in UNFOLDING_TAGS:
-            piece = data.piece_for(tag)
+            piece = data.template(tag).piece
             assert piece.tagpairs, tag
             for a, b in piece.tagpairs:
                 assert piece.side(a).label == piece.side(b).label
 
     def test_elementary_pieces_have_no_tagged_pairs(self, data):
         for tag in ELEMENTARY_TAGS:
-            assert data.piece_for(tag).tagpairs == ()
+            assert data.template(tag).piece.tagpairs == ()
 
     def test_arc_labels_cover_template(self, data):
         for tag in ALL_TAGS:
             t = data.template(tag)
-            piece = data.piece_for(tag)
-            assert {s.label for s in piece.sides if s.is_arc} == set(t.labels)
+            assert {s.label for s in t.piece.sides if s.is_arc} == set(t.labels)
 
 
 class TestDataErrors:
@@ -311,12 +308,50 @@ piece nowhere
         with pytest.raises(BlockDataError, match="unknown piece"):
             parse_block_data(text)
 
-    def test_elementary_heavy_edge_rejected(self):
+    def test_unlabelled_arc_rejected(self):
         text = """
-block Spike
+block Solo
+node 1 black
+node 2 black
+edge 1 2 1
+piece p
+piecedef p
+vertex A B C
+side a1 arc A B
+side a2 arc B C label 2
+side s3 bseg C A
+face a1+ a2+ s3+
+"""
+        with pytest.raises(BlockDataError, match="block Solo: piece p arc a1 carries no label"):
+            parse_block_data(text)
+
+    def test_block_without_nodes_rejected(self):
+        text = """
+block Empty
+piece p
+piecedef p
+vertex A B C
+side s1 bseg A B
+side s2 bseg B C
+side s3 bseg C A
+face s1+ s2+ s3+
+"""
+        with pytest.raises(BlockDataError, match="block Empty: no nodes"):
+            parse_block_data(text)
+
+    def test_duplicate_piece_line_rejected(self):
+        text = TWO_NODE_BLOCK.format(tag="Spike", weight=1)
+        text = text.replace("piece p", "piece p\npiece q", 1)
+        with pytest.raises(BlockDataError, match="line 7: duplicate piece line"):
+            parse_block_data(text)
+
+
+# A block of two white nodes joined by one edge, and its piece.
+TWO_NODE_BLOCK = """
+block {tag}
 node 1 white
 node 2 white
-edge 2 1 2
+edge 2 1 {weight}
 piece p
 piecedef p
 vertex A B C
@@ -327,8 +362,20 @@ outlet 1 a1
 outlet 2 a2
 face a1+ a2+ s3+
 """
-        with pytest.raises(BlockDataError, match="weight-1"):
-            parse_block_data(text)
+
+
+class TestModesFromWeights:
+    """A mode admits a template by its weights alone, whatever its tag."""
+
+    def test_weight_one_block_is_admitted_in_both_modes(self):
+        data = parse_block_data(TWO_NODE_BLOCK.format(tag="Hook", weight=1))
+        assert data.modes[QUIVER].tags == ("Hook",)
+        assert data.modes[S_DIAGRAM].tags == ("Hook",)
+
+    def test_heavy_block_is_admitted_in_s_mode_only(self):
+        data = parse_block_data(TWO_NODE_BLOCK.format(tag="Spike", weight=2))
+        assert data.modes[QUIVER].tags == ()
+        assert data.modes[S_DIAGRAM].tags == ("Spike",)
 
 
 class TestDataOverride:

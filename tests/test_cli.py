@@ -371,6 +371,23 @@ def test_data_that_breaks_the_part_lemma_is_internal_error(
     assert "block data:" in err and "Path" in err
 
 
+def test_block_edge_to_undeclared_node_is_internal_error(
+    capsys, tmp_path, monkeypatch, triangle_file
+):
+    """A block edge to an undeclared node is reported as bad block data
+    before anything is built from the stanza."""
+    (tmp_path / "blocks.txt").write_text(
+        "block Solo\nnode 1 white\nnode 2 white\nedge 1 3 1\npiece p\n"
+        "piecedef p\nvertex A B C\nside a1 arc A B label 1\nside a2 arc B C label 2\n"
+        "side s3 bseg C A\noutlet 1 a1\noutlet 2 a2\nface a1+ a2+ s3+\n"
+    )
+    monkeypatch.setenv("BLOCKDEC_DATA", str(tmp_path))
+    code, out, err = run(capsys, "decompose", triangle_file)
+    assert code == 3 and out == ""
+    assert err.splitlines()[0] == "error: block data: block Solo: edge 1->3 uses undeclared node"
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

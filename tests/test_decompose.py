@@ -519,7 +519,7 @@ def checked_kernel(monkeypatch):
 
     def spy_init(self, diagram, data, limit):
         init(self, diagram, data, limit)
-        self.reference_templates = [data.template(t) for t in data.tags_for_mode(diagram.mode)]
+        self.reference_templates = [data.template(t) for t in data.modes[diagram.mode].tags]
 
     def spy(self, pivot):
         expected = reference_extensions(self, pivot)
@@ -622,7 +622,7 @@ class TestPartLemma:
             near = neighbours(glue(data, plan).diagram)
             for inst in plan.instances:
                 template = data.template(inst.tag)
-                for f, t, _ in template.index_edges:
+                for f, t, _ in template.edges:
                     a, b = inst.nodes[f], inst.nodes[t]
                     if BLACK in (template.colors[f], template.colors[t]):
                         assert b in near[a], plan_key(data, plan)

@@ -353,10 +353,26 @@ class TestPlanText:
         assert plan == qplan(("Spike", (0, 1)))
 
 
-def test_gluing_does_not_load_block_data():
-    """The gluing rules sit below the block data in the module order: a
-    fresh interpreter that imports them has not imported the block module."""
-    code = "import sys, blockdec.gluing; sys.exit('blockdec.blocks' in sys.modules)"
+# The package's module order, as in the ``blocks`` docstring: a module
+# imports only modules of layers before its own.
+MODULE_LAYERS = [
+    ("diagram",), ("gluing",), ("blocks",), ("decompose", "oracle", "surface"), ("catalog",), ("cli",)
+]
+
+
+@pytest.mark.parametrize("module", [module for layer in MODULE_LAYERS for module in layer])
+def test_import_loads_no_later_module(module):
+    """The modules import one way: a fresh interpreter that imports one of
+    them has loaded no module of a later layer."""
+    rank = next(i for i, layer in enumerate(MODULE_LAYERS) if module in layer)
+    later = [m for layer in MODULE_LAYERS[rank + 1:] for m in layer]
+    code = (
+        f"import sys, blockdec.{module}; "
+        f"print(*[m for m in {later!r} if 'blockdec.' + m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(blockdec.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"blockdec.{module} loads {proc.stdout.strip()}"

@@ -70,7 +70,7 @@ def labelled_plans(data, mode, max_blocks, max_nodes):
     """Reference: every gluable plan with at most ``max_blocks`` instances on
     at most ``max_nodes`` first-use-numbered nodes, each sorted tuple of
     canonical instances once, with no dedup up to isomorphism."""
-    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+    templates = [data.template(tag) for tag in data.modes[mode].tags]
     state = GlueState(data, max_nodes)
     visited = set()
 
@@ -95,7 +95,7 @@ def ungated_sweep_children(data, mode, max_nodes):
     """The diagram of every child the connected oracle walk of ``sweep``
     builds with no gate in front of its visited set, in the order it labels
     them: one expansion per entry, and each child of one parent once."""
-    templates = [data.template(tag) for tag in data.tags_for_mode(mode)]
+    templates = [data.template(tag) for tag in data.modes[mode].tags]
     state = GlueState(data, max_nodes)
     visited = set()
     diagrams = []

@@ -382,7 +382,7 @@ def reference_assemble(data, p):
     outlet_slots, covers, arcard = {}, {}, {}
     for idx, inst in enumerate(p.instances):
         template = data.template(inst.tag)
-        piece = data.piece_for(inst.tag)
+        piece = data.template(inst.tag).piece
         node_of = dict(zip(template.labels, inst.nodes))
         outlets = {sid for _, sid in piece.outlets}
         for side in piece.sides:
